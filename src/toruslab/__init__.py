@@ -8,6 +8,8 @@ curves into linearization data.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadSchedule,
     BasepointMismatch,
@@ -17,6 +19,7 @@ from .errors import (
     SeparationNotFound,
     StaleLocation,
     ToruslabError,
+    TwistRouteMismatch,
 )
 from .torus_flow import (
     DiophantineCertificate,
@@ -68,7 +71,7 @@ from .currents import (
 )
 from .linearization import (
     AlbanesePoint,
-    GeneratorCurrent,
+    BatteryTable,
     LinearizationPoint,
     SeparationReport,
     albanese,
@@ -79,63 +82,8 @@ from .linearization import (
     linearize,
 )
 
-__all__ = [
-    "AlbanesePoint",
-    "BadSchedule",
-    "BasepointMismatch",
-    "CohomologySolution",
-    "CurrentHandle",
-    "CurveFamily",
-    "DiophantineCertificate",
-    "DirectionVector",
-    "EndpointMismatch",
-    "GeneratorCurrent",
-    "LiftPoint",
-    "LinearizationPoint",
-    "OneForm",
-    "PiecewiseCurve",
-    "ResonanceFound",
-    "ResonantMode",
-    "RetracedArcLocation",
-    "Segment",
-    "SeparationNotFound",
-    "SeparationReport",
-    "StaleLocation",
-    "TorusPoint",
-    "ToruslabError",
-    "TrigPoly",
-    "TwistedCurrent",
-    "ZeroCurrent",
-    "albanese",
-    "boundaries_equal",
-    "boundary",
-    "boundary_multiset",
-    "build_battery",
-    "certify_diophantine",
-    "check_equivariance",
-    "concatenate",
-    "contract_with_flow",
-    "evaluate",
-    "evaluate_family",
-    "evaluate_twisted",
-    "exterior_derivative",
-    "find_resonances",
-    "find_retraced_arc",
-    "flow",
-    "flow_lift",
-    "flow_segment",
-    "generator",
-    "injectivity_probe",
-    "is_loop_current",
-    "lie_derivative",
-    "linearize",
-    "liouville_vector",
-    "maximal_excision",
-    "project_pi_x",
-    "simple_excision",
-    "sobolev_norm",
-    "solve_cohomological",
-    "solve_for_form",
-    "transverse_segment",
-    "twist",
-]
+# Everything imported above is public; the submodules themselves are not.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .currents import CurrentHandle, evaluate, evaluate_twisted, twist
 from .curves import boundaries_equal, boundary_multiset, maximal_excision
 from .errors import ToruslabError
 from .jsonio import SchemaError, fnum
@@ -199,23 +198,15 @@ def _cmd_linearize_demo(config: ExperimentConfig) -> int:
     rows = []
     points = []
     for i, curve in enumerate(curves):
-        handle = CurrentHandle(curve)
-        twisted = twist(handle, alpha, eps_res=config.eps_res)
-        for fid, form in battery:
-            rows.append(
-                (
-                    f"curve{i}",
-                    fid,
-                    fnum(evaluate(handle, form)),
-                    fnum(evaluate_twisted(twisted, form)),
-                )
-            )
-        points.append(
-            linearize(
-                curve.end, curve.start, curve, alpha,
-                battery=battery, eps_res=config.eps_res,
-            )
+        p = linearize(
+            curve.end, curve.start, curve, alpha,
+            battery=battery, eps_res=config.eps_res,
         )
+        rows.extend(
+            (f"curve{i}", fid, fnum(raw), fnum(twisted))
+            for fid, raw, twisted in zip(battery.ids, p.raw, p.table)
+        )
+        points.append(p)
     header = ("curve", "form", "raw", "twisted")
     if config.fmt == "csv":
         _emit(config, header=header, rows=rows)

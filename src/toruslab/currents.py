@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import CurveFamily, PiecewiseCurve
-from .errors import BasepointMismatch
-from .spectral import CohomologySolution, OneForm, TrigPoly, exterior_derivative, solve_for_form
+from .errors import BasepointMismatch, TwistRouteMismatch
+from .spectral import OneForm, TrigPoly, exterior_derivative, solve_for_form
 from .torus_flow import (
     RESONANCE_EPS,
     TORUS_TOL,
@@ -124,7 +124,9 @@ def evaluate(T: CurrentHandle, eta: OneForm) -> float:
     """Exact line integral of a trig-poly one-form along the source curve.
 
     Each segment contributes c_n * v_j * e^{2 pi i n.x0} * E(n.v) per mode
-    n of component j; the Hermitian mode set makes the total real.
+    n of component j; the Hermitian mode set makes the total real. Segment
+    starts are reduced mod 1 first, which is exact for integer n and keeps
+    the phases accurate on lifts far from the origin.
     """
     curve = T.source
     if curve.d != eta.d:
@@ -132,6 +134,7 @@ def evaluate(T: CurrentHandle, eta: OneForm) -> float:
     if curve.n_segments == 0:
         return 0.0
     starts, disps = curve.arrays()
+    starts = reduce_mod1(starts)
     total = 0.0 + 0.0j
     for j, comp in enumerate(eta.components):
         if not comp.modes:
@@ -187,29 +190,15 @@ def is_loop_current(T1: CurrentHandle, T2: CurrentHandle) -> bool:
 
 
 class TwistedCurrent:
-    """A curve current composed with the coboundary-killing projection.
+    """A curve current composed with the coboundary-killing projection."""
 
-    Evaluation solves the cohomological equation for each form once and
-    memoizes the solution per handle; the memo is write-once (a key always
-    maps to the identical solution), so concurrent readers are safe.
-    """
-
-    __slots__ = ("base", "alpha", "eps_res", "_memo")
+    __slots__ = ("base", "alpha", "eps_res")
 
     def __init__(self, base: CurrentHandle, alpha: DirectionVector,
                  eps_res: float = RESONANCE_EPS):
         self.base = base
         self.alpha = alpha
         self.eps_res = eps_res
-        self._memo: dict = {}
-
-    def solution_for(self, eta: OneForm) -> CohomologySolution:
-        key = eta.cache_key()
-        sol = self._memo.get(key)
-        if sol is None:
-            sol = solve_for_form(eta, self.alpha, eps_res=self.eps_res)
-            self._memo[key] = sol
-        return sol
 
     def __call__(self, eta: OneForm) -> float:
         return evaluate_twisted(self, eta)
@@ -228,14 +217,13 @@ def evaluate_twisted(LT: TwistedCurrent, eta: OneForm) -> float:
     """T(eta) minus the boundary paired with the transfer function h_eta.
 
     Computed twice, once as raw minus boundary term and once as the
-    integral of eta - dh_eta; the two routes must agree to TWIST_TOL and
-    this is asserted on every call.
+    integral of eta - dh_eta; routes further apart than TWIST_TOL raise
+    TwistRouteMismatch on every call.
     """
-    sol = LT.solution_for(eta)
+    sol = solve_for_form(eta, LT.alpha, eps_res=LT.eps_res)
     raw = evaluate(LT.base, eta)
     via_boundary = raw - boundary(LT.base).pair(sol.h)
     via_form = evaluate(LT.base, eta - exterior_derivative(sol.h))
-    assert abs(via_boundary - via_form) <= TWIST_TOL, (
-        f"twisted evaluation routes disagree: {via_boundary!r} vs {via_form!r}"
-    )
+    if not abs(via_boundary - via_form) <= TWIST_TOL:  # NaN fails too
+        raise TwistRouteMismatch(via_boundary, via_form)
     return via_boundary

@@ -42,6 +42,15 @@ class ResonantMode(ToruslabError):
         return {"n": list(self.n), "divisor": repr(self.divisor)}
 
 
+class TwistRouteMismatch(ToruslabError):
+    """The boundary and form routes of a twisted evaluation disagree."""
+
+    def __init__(self, via_boundary: float, via_form: float):
+        super().__init__(
+            f"twisted evaluation routes disagree: {float(via_boundary)!r} vs {float(via_form)!r}"
+        )
+
+
 class EndpointMismatch(ToruslabError):
     """Curve endpoints that must coincide on the torus do not."""
 

@@ -11,93 +11,121 @@ which is the Albanese projection.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import CurrentHandle, TwistedCurrent, evaluate_twisted, twist
+from .currents import TWIST_TOL, CurrentHandle, TwistedCurrent, phase_average, twist
 from .curves import PiecewiseCurve
-from .errors import BasepointMismatch, EndpointMismatch, SeparationNotFound
-from .spectral import OneForm, solve_for_form
-from .torus_flow import (
-    RESONANCE_EPS,
-    DirectionVector,
-    TorusPoint,
-    circle_dist,
-    flow,
-    reduce_mod1,
-)
+from .errors import BasepointMismatch, EndpointMismatch, ResonantMode, SeparationNotFound
+from .errors import TwistRouteMismatch
+from .spectral import OneForm
+from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint, circle_dist, flow, reduce_mod1
 
 DEFAULT_CUTOFF = 3     # battery modulation frequencies up to this sup norm
 SEPARATION_TOL = 1e-9  # evaluation gaps below this never count as separation
-
-Battery = tuple[tuple[str, OneForm], ...]
+_TRIGS = ("cos", "sin")
 
 
 def canonical_modes(d: int, cutoff: int) -> list[tuple[int, ...]]:
     """Nonzero frequencies with sup norm <= cutoff, one per +- pair.
 
-    The representative has its first nonzero entry positive; order is
-    lexicographic, so batteries are reproducible.
+    The representative has its first nonzero entry positive, i.e. it is
+    lexicographically above zero; order is lexicographic, so batteries are
+    reproducible.
     """
-    out = []
-    for n in itertools.product(range(-cutoff, cutoff + 1), repeat=d):
-        if all(v == 0 for v in n):
-            continue
-        first = next(v for v in n if v != 0)
-        if first < 0:
-            continue
-        out.append(n)
-    return out
+    zero = (0,) * d
+    return [n for n in itertools.product(range(-cutoff, cutoff + 1), repeat=d) if n > zero]
 
 
 def mode_label(n) -> str:
     return "[" + ",".join(str(int(v)) for v in n) + "]"
 
 
+class Battery:
+    """The test forms: every dx_j, then cos/sin(2 pi n.x) dx_j per mode n.
+
+    Held as the (M, d) array of canonical modes; the form of mode m, trig
+    t (0 cos, 1 sin) and component j sits at position d + (2m + t) d + j.
+    Iterating yields (id, OneForm) pairs, built on demand.
+    """
+
+    __slots__ = ("d", "modes", "ids", "index")
+
+    def __init__(self, d: int, modes: np.ndarray):
+        self.d = d
+        self.modes = modes
+        ids = [f"dx{j + 1}" for j in range(d)]
+        for n in modes:
+            for trig in _TRIGS:
+                ids.extend(f"{trig}{mode_label(n)}dx{j + 1}" for j in range(d))
+        self.ids = tuple(ids)
+        self.index = {fid: i for i, fid in enumerate(ids)}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return zip(self.ids, self._forms())
+
+    def _forms(self):
+        for j in range(self.d):
+            yield OneForm.dx(self.d, j)
+        for n in self.modes.tolist():
+            for trig in _TRIGS:
+                for j in range(self.d):
+                    yield OneForm.modulated(trig, n, j)
+
+
 def build_battery(d: int, cutoff: int = DEFAULT_CUTOFF) -> Battery:
-    """The test forms: every dx_j, then cos/sin modulations of each dx_j."""
+    """The battery of every canonical mode with sup norm <= cutoff."""
     if cutoff < 1:
         raise ValueError("battery cutoff must be >= 1")
-    forms: list[tuple[str, OneForm]] = [
-        (f"dx{j + 1}", OneForm.dx(d, j)) for j in range(d)
-    ]
-    for n in canonical_modes(d, cutoff):
-        for trig in ("cos", "sin"):
-            for j in range(d):
-                forms.append(
-                    (f"{trig}{mode_label(n)}dx{j + 1}", OneForm.modulated(trig, n, j))
-                )
-    return tuple(forms)
+    return Battery(d, np.array(canonical_modes(d, cutoff), dtype=np.int64))
+
+
+class BatteryTable(Mapping):
+    """Form id -> value lookups into a vector held in battery order."""
+
+    __slots__ = ("battery", "vector")
+
+    def __init__(self, battery: Battery, vector: np.ndarray):
+        self.battery = battery
+        self.vector = vector
+
+    def __getitem__(self, form_id: str) -> float:
+        return float(self.vector[self.battery.index[form_id]])
+
+    def __iter__(self):
+        return iter(self.battery.ids)
+
+    def __len__(self) -> int:
+        return len(self.battery)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearizationPoint:
     """A point of the target group, held as a representative path current.
 
-    evaluations maps battery form ids to twisted values; it is the finite
-    shadow of the current and everything downstream reads only this table.
+    table holds the twisted value of every battery form, in battery order;
+    it is the finite shadow of the current and everything downstream reads
+    only this vector. raw holds the untwisted values alongside.
     """
 
     endpoint: TorusPoint
     representative: TwistedCurrent
-    evaluations: dict[str, float]
+    table: np.ndarray
+    raw: np.ndarray
     basepoint: TorusPoint
     battery: Battery
 
+    @property
+    def evaluations(self) -> BatteryTable:
+        return BatteryTable(self.battery, self.table)
+
     def __call__(self, form_id: str) -> float:
         return self.evaluations[form_id]
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorCurrent:
-    """The direction cocycle: each form's flow average c_eta."""
-
-    values: dict[str, float]
-    battery: Battery
-
-    def __call__(self, form_id: str) -> float:
-        return self.values[form_id]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +155,66 @@ def _as_point(p) -> TorusPoint:
     return TorusPoint(np.asarray(getattr(p, "coords", p), dtype=float))
 
 
+def _divisors(alpha: DirectionVector, battery: Battery, eps_res: float) -> np.ndarray:
+    """n.alpha for every battery mode, each rounded once from exact arithmetic.
+
+    Raises ResonantMode on the first mode, in battery order, that
+    solve_cohomological would reject.
+    """
+    if alpha.d != battery.d:
+        raise ValueError("dimension mismatch")
+    div = np.array([alpha.dot(n) for n in battery.modes.tolist()])
+    ninf = np.abs(battery.modes).max(axis=1)
+    resonant = (np.abs(div) < eps_res * ninf) | (div == 0.0)
+    if resonant.any():
+        m = int(np.argmax(resonant))
+        raise ResonantMode(battery.modes[m], div[m])
+    return div
+
+
+def _battery_vector(dx: np.ndarray, modulated: np.ndarray) -> np.ndarray:
+    """dx entries, then per mode the real (cos) and imaginary (sin) rows."""
+    rows = np.stack([modulated.real, modulated.imag], axis=1)
+    return np.concatenate([dx, rows.reshape(-1)])
+
+
+def _tabulate(
+    path: PiecewiseCurve, alpha: DirectionVector, battery: Battery, eps_res: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and twisted battery vectors of a path, from one segment x mode matrix.
+
+    K[n, j] = sum_s v_s[j] e^{2 pi i n.x_s} E(n.v_s) integrates the complex
+    form e^{2 pi i n.x} dx_j, whose real and imaginary parts are the cos and
+    sin forms. Its transfer function is h = alpha_j e^{2 pi i n.x} /
+    (2 pi i n.alpha), so the twist subtracts h(end) - h(start) (boundary
+    route); the integral of dh, alpha_j (n.K_n) / n.alpha, is the form
+    route, and the two must agree to TWIST_TOL. The dx forms have h = 0.
+    """
+    div = _divisors(alpha, battery, eps_res)
+    if path.d != battery.d:
+        raise ValueError("dimension mismatch")
+    modes = battery.modes.astype(float)
+    starts, disps = path.arrays()
+    kernel = np.exp(2j * np.pi * (reduce_mod1(starts) @ modes.T))
+    kernel *= phase_average(disps @ modes.T)
+    K = np.einsum("sm,sj->mj", kernel, disps)  # no BLAS: its complex buffers cost RSS
+    if path.is_closed:
+        jump = np.zeros(len(div), dtype=complex)
+    else:
+        z = np.exp(2j * np.pi * (np.stack([path.end.coords, path.start.coords]) @ modes.T))
+        jump = z[0] - z[1]
+    scale = alpha.alpha[None, :] / div[:, None]
+    zero = np.zeros(battery.d)
+    raw = _battery_vector(disps.sum(axis=0), K)
+    twisted = raw - _battery_vector(zero, scale * (jump / (2j * np.pi))[:, None])
+    via_form = raw - _battery_vector(zero, scale * (K * modes).sum(axis=1)[:, None])
+    gaps = np.abs(twisted - via_form)
+    worst = int(np.argmax(gaps))
+    if not gaps[worst] <= TWIST_TOL:  # NaN fails too
+        raise TwistRouteMismatch(twisted[worst], via_form[worst])
+    return raw, twisted
+
+
 def linearize(
     y,
     x,
@@ -149,15 +237,9 @@ def linearize(
         raise EndpointMismatch("path does not end at the requested point")
     if battery is None:
         battery = build_battery(path.d, cutoff)
+    raw, table = _tabulate(path, alpha, battery, eps_res)
     rep = twist(CurrentHandle(path), alpha, eps_res)
-    evaluations = {fid: evaluate_twisted(rep, form) for fid, form in battery}
-    return LinearizationPoint(
-        endpoint=y,
-        representative=rep,
-        evaluations=evaluations,
-        basepoint=x,
-        battery=battery,
-    )
+    return LinearizationPoint(y, rep, table=table, raw=raw, basepoint=x, battery=battery)
 
 
 def generator(
@@ -165,14 +247,18 @@ def generator(
     battery: Battery | None = None,
     cutoff: int = DEFAULT_CUTOFF,
     eps_res: float = RESONANCE_EPS,
-) -> GeneratorCurrent:
-    """Flow averages of every battery form; the dx entries are alpha itself."""
+) -> BatteryTable:
+    """Flow averages of every battery form: alpha on the dx entries, else 0.
+
+    A modulated form has flow average zero, but it is still obstructed on
+    a resonant mode, so the divisors are checked as the solver would.
+    """
     if battery is None:
         battery = build_battery(alpha.d, cutoff)
-    values = {
-        fid: solve_for_form(form, alpha, eps_res=eps_res).c for fid, form in battery
-    }
-    return GeneratorCurrent(values=values, battery=battery)
+    _divisors(alpha, battery, eps_res)
+    values = np.zeros(len(battery))
+    values[: alpha.d] = alpha.alpha
+    return BatteryTable(battery, values)
 
 
 def check_equivariance(
@@ -185,7 +271,8 @@ def check_equivariance(
 
     The flowed point is represented by the original path extended with the
     flow segment of duration t, the representative for which the shift law
-    is an exact identity; the return value is numerical dust.
+    is an exact identity; it is tabulated afresh, independently of p, so
+    the return value is numerical dust.
     """
     source = p.representative.base.source
     steps = source.steps()
@@ -193,21 +280,14 @@ def check_equivariance(
         steps = steps + [("flow", float(t) * alpha.alpha)]
     extended = PiecewiseCurve.from_steps(source.start_lift, steps)
     target = flow(p.endpoint, t, alpha)
-    q = linearize(
-        target, p.basepoint, extended, alpha, battery=p.battery, eps_res=eps_res
-    )
+    q = linearize(target, p.basepoint, extended, alpha, battery=p.battery, eps_res=eps_res)
     gen = generator(alpha, battery=p.battery, eps_res=eps_res)
-    return max(
-        abs(q.evaluations[fid] - p.evaluations[fid] - gen.values[fid] * t)
-        for fid, _ in p.battery
-    )
+    return float(np.max(np.abs(q.table - p.table - gen.vector * t)))
 
 
 def albanese(p: LinearizationPoint) -> AlbanesePoint:
     """The dx entries of the table, reduced mod 1."""
-    d = p.endpoint.coords.size
-    coords = np.array([p.evaluations[f"dx{j + 1}"] for j in range(d)])
-    return AlbanesePoint(coords=reduce_mod1(coords))
+    return AlbanesePoint(coords=reduce_mod1(p.table[: p.battery.d]))
 
 
 def _theta_probes(alpha: DirectionVector, battery: Battery):
@@ -215,24 +295,20 @@ def _theta_probes(alpha: DirectionVector, battery: Battery):
 
     theta = alpha_j * (g dx_k) - alpha_k * (g dx_j) contracts to zero with
     the flow field, so its twisted value is the raw integral; the gap is a
-    linear combination of existing table entries.
+    linear combination of existing table entries. Yields the probe name and
+    the two (table position, weight) terms; modes run in the text order of
+    their labels.
     """
-    ids = {fid for fid, _ in battery}
-    d = alpha.d
-    labels = sorted(
-        {fid[3:].split("dx")[0] for fid, _ in battery if fid.startswith("cos")}
-    )
-    for trig in ("cos", "sin"):
-        for label in labels:
+    d = battery.d
+    labels = [mode_label(n) for n in battery.modes]
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    for t, trig in enumerate(_TRIGS):
+        for m in order:
+            base = d + (2 * m + t) * d
             for j in range(d):
                 for k in range(j + 1, d):
-                    fj = f"{trig}{label}dx{j + 1}"
-                    fk = f"{trig}{label}dx{k + 1}"
-                    if fj in ids and fk in ids:
-                        name = f"theta[{trig}{label},{j + 1},{k + 1}]"
-                        aj = float(alpha.alpha[j])
-                        ak = float(alpha.alpha[k])
-                        yield name, ((fk, aj), (fj, -ak))
+                    name = f"theta[{trig}{labels[m]},{j + 1},{k + 1}]"
+                    yield name, (base + k, alpha.alpha[j]), (base + j, -alpha.alpha[k])
 
 
 def injectivity_probe(
@@ -247,50 +323,33 @@ def injectivity_probe(
     """
     if not p1.basepoint.close_to(p2.basepoint, 1e-12):
         raise BasepointMismatch("probes need a common basepoint")
-    if tuple(fid for fid, _ in p1.battery) != tuple(fid for fid, _ in p2.battery):
+    if p1.battery.ids != p2.battery.ids:
         raise ValueError("probes need a common battery")
-    d = p1.endpoint.coords.size
-    diff = {fid: p1.evaluations[fid] - p2.evaluations[fid] for fid, _ in p1.battery}
+    d = p1.battery.d
+    diff = p1.table - p2.table
     endpoints_differ = not p1.endpoint.close_to(p2.endpoint, 1e-12)
 
     if not endpoints_differ:
-        worst_id = max(diff, key=lambda fid: abs(diff[fid]))
-        worst = abs(diff[worst_id])
-        same = worst <= SEPARATION_TOL
-        return SeparationReport(
-            endpoints_differ=False,
-            separated=False,
-            form=None if same else worst_id,
-            gap=0.0 if same else worst,
-            same_class=same,
-        )
+        worst_at = int(np.argmax(np.abs(diff)))
+        worst = float(abs(diff[worst_at]))
+        if worst <= SEPARATION_TOL:
+            return SeparationReport(False, False, None, 0.0, same_class=True)
+        return SeparationReport(False, False, p1.battery.ids[worst_at], worst, same_class=False)
+
+    def separated(form: str, gap: float) -> SeparationReport:
+        return SeparationReport(True, True, form, float(gap), same_class=None)
 
     for j in range(d):
-        fid = f"dx{j + 1}"
-        if abs(diff[fid]) > SEPARATION_TOL:
-            return SeparationReport(
-                endpoints_differ=True,
-                separated=True,
-                form=fid,
-                gap=abs(diff[fid]),
-                same_class=None,
-            )
-    for name, combo in _theta_probes(alpha, p1.battery):
-        gap = abs(sum(weight * diff[fid] for fid, weight in combo))
+        if abs(diff[j]) > SEPARATION_TOL:
+            return separated(p1.battery.ids[j], abs(diff[j]))
+    for name, (k, wk), (j, wj) in _theta_probes(alpha, p1.battery):
+        gap = abs(wk * diff[k] + wj * diff[j])
         if gap > SEPARATION_TOL:
-            return SeparationReport(
-                endpoints_differ=True,
-                separated=True,
-                form=name,
-                gap=gap,
-                same_class=None,
-            )
+            return separated(name, gap)
     j0 = int(np.argmax(np.abs(alpha.alpha)))
-    gap = abs(diff[f"dx{j0 + 1}"] / float(alpha.alpha[j0]))
+    gap = abs(diff[j0] / float(alpha.alpha[j0]))
     if gap > SEPARATION_TOL:
-        return SeparationReport(
-            endpoints_differ=True, separated=True, form="eta0", gap=gap, same_class=None
-        )
+        return separated("eta0", gap)
     raise SeparationNotFound(
         "no battery form separates the two points at the current cutoff"
     )

@@ -118,9 +118,6 @@ class TrigPoly:
         keys = set(self.modes) | set(other.modes)
         return all(abs(self.coeff(n) - other.coeff(n)) <= tol for n in keys)
 
-    def cache_key(self) -> tuple:
-        return tuple(sorted((n, c.real, c.imag) for n, c in self.modes.items()))
-
     def __repr__(self) -> str:
         return f"TrigPoly(d={self.d}, modes={len(self.modes)})"
 
@@ -168,9 +165,6 @@ class OneForm:
         return OneForm([scalar * p for p in self.components])
 
     __rmul__ = __mul__
-
-    def cache_key(self) -> tuple:
-        return tuple(p.cache_key() for p in self.components)
 
     def __repr__(self) -> str:
         return f"OneForm(d={self.d})"

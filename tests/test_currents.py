@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from toruslab import currents
 from toruslab.currents import (
     SERIES_CUTOFF,
     CurrentHandle,
@@ -22,7 +28,7 @@ from toruslab.curves import (
     find_retraced_arc,
     maximal_excision,
 )
-from toruslab.errors import BasepointMismatch, ResonantMode
+from toruslab.errors import BasepointMismatch, ResonantMode, TwistRouteMismatch
 from toruslab.spectral import OneForm, TrigPoly, exterior_derivative
 from toruslab.torus_flow import DirectionVector, TorusPoint
 
@@ -298,18 +304,52 @@ def test_twisted_trivial_path_evaluates_to_zero():
     assert evaluate_twisted(LT, eta) == 0.0
 
 
-def test_twisted_memo_is_per_form():
-    rng = np.random.default_rng(15)
-    curve = random_curve(rng)
-    LT = twist(CurrentHandle(curve), GOLDEN)
-    eta = OneForm([random_poly(rng), random_poly(rng)])
-    v1 = evaluate_twisted(LT, eta)
-    v2 = evaluate_twisted(LT, eta)
-    assert v1 == v2
-    assert len(LT._memo) == 1
-    clone = OneForm([TrigPoly(2, dict(c.modes)) for c in eta.components])
-    evaluate_twisted(LT, clone)
-    assert len(LT._memo) == 1
+def test_twist_routes_apart_raise(monkeypatch):
+    monkeypatch.setattr(currents, "exterior_derivative", lambda h: 2.0 * exterior_derivative(h))
+    LT = twist(handle([0.1, 0.2], [0.3, 0.25]), GOLDEN)
+    with pytest.raises(TwistRouteMismatch):
+        evaluate_twisted(LT, OneForm([TrigPoly.cosine((1, 1)), TrigPoly.constant(2, 0.0)]))
+
+
+_FORCED_APART = """
+import sys
+from toruslab import currents, linearization
+from toruslab.curves import PiecewiseCurve
+from toruslab.errors import TwistRouteMismatch
+from toruslab.spectral import OneForm, TrigPoly, exterior_derivative
+from toruslab.torus_flow import DirectionVector
+
+assert sys.flags.optimize
+alpha = DirectionVector.golden()
+path = PiecewiseCurve.from_steps([0.1, 0.2], [("transverse", [0.3, 0.25])])
+eta = OneForm([TrigPoly.cosine((1, 1)), TrigPoly.constant(2, 0.0)])
+raised = []
+currents.exterior_derivative = lambda h: 2.0 * exterior_derivative(h)
+try:
+    currents.evaluate_twisted(currents.twist(currents.CurrentHandle(path), alpha), eta)
+except TwistRouteMismatch:
+    raised.append("evaluate_twisted")
+phase_average = linearization.phase_average
+linearization.phase_average = lambda u: 2.0 * phase_average(u)
+try:
+    linearization.linearize(path.end, path.start, path, alpha)
+except TwistRouteMismatch:
+    raised.append("linearize")
+print(",".join(raised))
+"""
+
+
+def test_twist_route_check_survives_optimize():
+    src = str(Path(currents.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_APART],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["evaluate_twisted,linearize"]
 
 
 def test_twisted_resonant_mode_propagates():

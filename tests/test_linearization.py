@@ -1,13 +1,22 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toruslab.currents import CurrentHandle, evaluate
+from toruslab import linearization
+from toruslab.cli import main
+from toruslab.currents import CurrentHandle, evaluate, evaluate_twisted, phase_average, twist
 from toruslab.curves import PiecewiseCurve, concatenate
 from toruslab.errors import (
     BasepointMismatch,
     EndpointMismatch,
+    ResonantMode,
     SeparationNotFound,
+    TwistRouteMismatch,
 )
+from toruslab.spectral import OneForm, TrigPoly, solve_for_form
 from toruslab.linearization import (
     albanese,
     build_battery,
@@ -17,7 +26,7 @@ from toruslab.linearization import (
     injectivity_probe,
     linearize,
 )
-from toruslab.torus_flow import DirectionVector, TorusPoint, circle_dist, flow
+from toruslab.torus_flow import DirectionVector, TorusPoint, circle_dist, flow, reduce_mod1
 
 GOLDEN = DirectionVector.golden()
 ORIGIN = TorusPoint([0.0, 0.0])
@@ -82,7 +91,7 @@ def test_flow_path_reads_generator_times_t():
     gen = generator(GOLDEN, battery=BATTERY2)
     for fid, _ in BATTERY2:
         assert p.evaluations[fid] == pytest.approx(
-            gen.values[fid] * t, abs=1e-10
+            gen[fid] * t, abs=1e-10
         )
 
 
@@ -116,14 +125,14 @@ def test_path_difference_is_the_closing_loop():
 
 def test_generator_dx_values_are_alpha():
     gen = generator(GOLDEN, battery=BATTERY2)
-    assert gen.values["dx1"] == float(GOLDEN.alpha[0])
-    assert gen.values["dx2"] == float(GOLDEN.alpha[1])
+    assert gen["dx1"] == float(GOLDEN.alpha[0])
+    assert gen["dx2"] == float(GOLDEN.alpha[1])
 
 
 def test_generator_modulated_means_vanish():
     gen = generator(GOLDEN, battery=BATTERY2)
-    assert gen.values["cos[1,0]dx1"] == 0.0
-    assert gen.values["sin[1,-1]dx2"] == 0.0
+    assert gen["cos[1,0]dx1"] == 0.0
+    assert gen["sin[1,-1]dx2"] == 0.0
 
 
 # --- equivariance ---
@@ -158,7 +167,7 @@ def test_equivariance_additivity_triangle():
     )
     gen = generator(GOLDEN, battery=BATTERY2)
     d12 = max(
-        abs(q.evaluations[fid] - p.evaluations[fid] - gen.values[fid] * 0.4)
+        abs(q.evaluations[fid] - p.evaluations[fid] - gen[fid] * 0.4)
         for fid, _ in BATTERY2
     )
     assert d12 <= d1 + d2 + 1e-9
@@ -270,3 +279,112 @@ def test_probe_requires_common_basepoint_and_battery():
     )
     with pytest.raises(ValueError):
         injectivity_probe(p1, p3, GOLDEN)
+
+
+def test_probe_near_coincident_endpoints_use_theta_form():
+    y1 = np.array([0.3, 0.4])
+    y2 = y1 + [6e-10, 0.0]
+    path1 = tpath([0.0, 0.0], [0.1, 0.5], y1 - [0.1, 0.5])
+    path2 = tpath([0.0, 0.0], y2)
+    report = injectivity_probe(lin(TorusPoint(y1), path1), lin(TorusPoint(y2), path2), GOLDEN)
+    assert report.form == "theta[cos[0,1],1,2]"
+    g = TrigPoly.cosine((0, 1))
+    theta = OneForm([-float(GOLDEN.alpha[1]) * g, float(GOLDEN.alpha[0]) * g])
+    gap = evaluate_twisted(twist(CurrentHandle(path1), GOLDEN), theta) - evaluate_twisted(
+        twist(CurrentHandle(path2), GOLDEN), theta
+    )
+    assert report.gap == pytest.approx(abs(gap), abs=1e-12)
+
+
+# --- battery kernel against the per-form route ---
+
+_DIRECTIONS = {
+    2: ([1.0, (1.0 + 5.0**0.5) / 2.0], [1.0, 2.0**0.5]),
+    3: ([1.0, 2.0 ** (1 / 3), 4.0 ** (1 / 3)], [1.0, 2.0**0.5, 3.0**0.5]),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_per_form_route(d, cutoff, data):
+    base = np.array(data.draw(st.sampled_from(_DIRECTIONS[d])))
+    scale = data.draw(st.floats(0.5, 2.0))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)))
+    alpha = DirectionVector(scale * signs * base)
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    start = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)))
+    steps = []
+    for kind, t, disp in data.draw(st.lists(
+        st.tuples(st.sampled_from(["flow", "transverse"]), st.floats(0.05, 4.0),
+                  st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)),
+        max_size=4,
+    )):
+        if kind == "flow":
+            steps.append(("flow", t * alpha.alpha))
+        elif max(abs(v) for v in disp) > 1e-3:
+            steps.append(("transverse", disp))
+    path = PiecewiseCurve.from_steps(start, steps)
+    battery = build_battery(d, cutoff)
+    p = linearize(path.end, path.start, path, alpha, battery=battery)
+    gen = generator(alpha, battery=battery)
+    T = CurrentHandle(path)
+    LT = twist(T, alpha)
+    for i, (fid, form) in enumerate(battery):
+        assert p.raw[i] == pytest.approx(evaluate(T, form), abs=1e-10), fid
+        assert p.table[i] == pytest.approx(evaluate_twisted(LT, form), abs=1e-10), fid
+        assert gen.vector[i] == pytest.approx(solve_for_form(form, alpha).c, abs=1e-10), fid
+
+
+def test_resonant_mode_matches_per_form_route(tmp_path, capsys):
+    alpha = DirectionVector.from_decimals(["1", "-0.5"])  # (1, 2) and (2, 4) resonate
+    battery = build_battery(2, cutoff=4)
+    path = tpath([0.0, 0.0], [0.3, 0.4])
+    LT = twist(CurrentHandle(path), alpha)
+    with pytest.raises(ResonantMode) as per_form:
+        for _, form in battery:
+            evaluate_twisted(LT, form)
+    assert per_form.value.n == (1, 2)
+    with pytest.raises(ResonantMode) as kernel:
+        linearize(TorusPoint([0.3, 0.4]), ORIGIN, path, alpha, battery=battery)
+    with pytest.raises(ResonantMode) as gen:
+        generator(alpha, battery=battery)
+    for exc in (kernel.value, gen.value):
+        assert (exc.n, exc.divisor) == (per_form.value.n, per_form.value.divisor)
+    alpha_file = tmp_path / "alpha.json"
+    alpha_file.write_text('{"d": 2, "alpha": ["1", "-0.5"]}\n')
+    for command in ("linearize-demo", "equivariance-test"):
+        argv = [command, "--alpha", str(alpha_file), "--samples", "1", "--cutoff", "4"]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ResonantMode"
+        assert record["detail"]["n"] == list(per_form.value.n)
+
+
+def test_kernel_twist_routes_apart_raise(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(linearization, "phase_average", lambda u: 2.0 * phase_average(u))
+    path = tpath([0.0, 0.0], [0.3, 0.4])
+    with pytest.raises(TwistRouteMismatch):
+        lin(TorusPoint([0.3, 0.4]), path)
+    alpha_file = tmp_path / "golden.json"
+    alpha_file.write_text('{"d": 2, "alpha": ["1", "1.6180339887498949"]}\n')
+    assert main(["linearize-demo", "--alpha", str(alpha_file), "--samples", "1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TwistRouteMismatch"
+
+
+def test_deck_shift_leaves_table_unchanged():
+    # dyadic lifts and displacements stay exact after the integer shift
+    x = np.array([0.25, 0.625])
+    disps = ([0.375, -0.125], [0.0625, 0.5], [-0.25, 0.1875])
+    base = tpath(x, *disps)
+    shifted = tpath(x + [1e12, -1e12], *disps)
+    assert np.array_equal(reduce_mod1(shifted.end_lift), reduce_mod1(base.end_lift))
+    battery = build_battery(2, cutoff=3)
+    p = linearize(base.end, TorusPoint(x), base, GOLDEN, battery=battery)
+    q = linearize(shifted.end, TorusPoint(x), shifted, GOLDEN, battery=battery)
+    assert np.max(np.abs(p.table - q.table)) <= 1e-12
+    assert np.max(np.abs(p.raw - q.raw)) <= 1e-12
+    for _, form in battery:
+        gap = evaluate(CurrentHandle(base), form) - evaluate(CurrentHandle(shifted), form)
+        assert abs(gap) <= 1e-12

@@ -47,15 +47,12 @@ from .curves import (
     CurveFamily,
     PiecewiseCurve,
     RetracedArcLocation,
-    Segment,
     boundaries_equal,
     boundary_multiset,
     concatenate,
     find_retraced_arc,
-    flow_segment,
     maximal_excision,
     simple_excision,
-    transverse_segment,
 )
 from .currents import (
     CurrentHandle,

@@ -58,7 +58,6 @@ class ExperimentConfig:
     command: str
     alpha_path: str | None = None
     function_path: str | None = None
-    form_path: str | None = None
     curve_path: str | None = None
     radius: int | None = None
     tau: float | None = None

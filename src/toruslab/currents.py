@@ -133,8 +133,8 @@ def evaluate(T: CurrentHandle, eta: OneForm) -> float:
         raise ValueError("dimension mismatch")
     if curve.n_segments == 0:
         return 0.0
-    starts, disps = curve.arrays()
-    starts = reduce_mod1(starts)
+    starts = reduce_mod1(curve.starts)
+    disps = curve.displacements
     total = 0.0 + 0.0j
     for j, comp in enumerate(eta.components):
         if not comp.modes:

@@ -1,11 +1,13 @@
 """Polygonal curve words on the torus and the retraced-arc excision calculus.
 
-A curve is a word of straight oriented segments (flow pieces parallel to the
-direction vector, transverse pieces everything else), stored as a basepoint
-lift plus displacement steps; segment lifts are reconstructed by accumulation
-so consecutive segments are incident by construction. Retraced-arc detection
-works modulo the integer lattice: an arc and its reversal may sit in
-different fundamental-domain copies.
+A curve is three arrays: a basepoint lift (d,), one displacement per
+segment (S, d), and a flow mask (S,) marking the pieces parallel to the
+direction vector (the others are transverse). Segment start lifts are the
+running sums of the displacements from the basepoint, so consecutive
+segments are incident by construction. Everything below works on index
+ranges of those arrays. Retraced-arc detection works modulo the integer
+lattice: an arc and its reversal may sit in different fundamental-domain
+copies.
 
 Matching is exact up to MATCH_TOL = 1e-12; synthetic inputs realize their
 coincidences exactly, near misses are left alone. When a retraced overlap
@@ -29,117 +31,82 @@ COLLINEAR_TOL = 1e-9   # sine of the angle separating flow from transverse
 _FRACTION_TOL = 1e-9   # split points closer than this to 0/1 are dropped
 
 _KINDS = ("flow", "transverse")
+# Checked per segment in this order; a curve reports its first bad segment.
+_PROBLEMS = (
+    f"kind must be one of {_KINDS}",
+    "segment displacement must be nonzero",
+    "flow step is not collinear with the direction",
+    "transverse step is collinear with the direction",
+)
 
 
-class Segment:
-    """One straight oriented piece: a start lift and a displacement."""
-
-    __slots__ = ("start", "displacement", "kind")
-
-    def __init__(self, start, displacement, kind: str):
-        start = np.asarray(start, dtype=float).copy()
-        displacement = np.asarray(displacement, dtype=float).copy()
-        if start.shape != displacement.shape or start.ndim != 1:
-            raise ValueError("start and displacement must be matching vectors")
-        if kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-        if float(np.max(np.abs(displacement))) < 1e-15:
-            raise ValueError("segment displacement must be nonzero")
-        self.start = start
-        self.displacement = displacement
-        self.kind = kind
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.start + self.displacement
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.displacement))
-
-    def reversed(self) -> "Segment":
-        return Segment(self.end, -self.displacement, self.kind)
-
-    def __repr__(self) -> str:
-        return f"Segment({self.kind}, {self.start.tolist()} + {self.displacement.tolist()})"
-
-
-def _sine_angle(v: np.ndarray, direction: np.ndarray) -> float:
+def _sine_angles(v: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Per row of v, the sine of its angle to direction (0 for zero rows)."""
     u = direction / np.linalg.norm(direction)
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    rest = v - np.dot(v, u) * u
-    return float(np.linalg.norm(rest) / nv)
-
-
-def flow_segment(start, t: float, alpha: DirectionVector) -> Segment | None:
-    """Flow piece of duration t; None when t == 0 (no empty segments)."""
-    if t == 0.0:
-        return None
-    return Segment(start, float(t) * alpha.alpha, "flow")
-
-
-def transverse_segment(start, displacement, alpha: DirectionVector | None = None) -> Segment:
-    if alpha is not None and _sine_angle(displacement, alpha.alpha) <= COLLINEAR_TOL:
-        raise ValueError("transverse displacement is collinear with the flow")
-    return Segment(start, displacement, "transverse")
+    rest = np.linalg.norm(v - np.outer(v @ u, u), axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    return np.divide(rest, nv, out=np.zeros_like(nv), where=nv > 0.0)
 
 
 class PiecewiseCurve:
     """A finite word of segments with a continuous lift.
 
-    Treated as immutable; every operation returns a new curve. The empty
-    word is the trivial curve at its basepoint.
+    Held as basepoint_lift (d,), displacements (S, d) and flow (S,); starts
+    and end_lift are the running sums of the displacements. Treated as
+    immutable; every operation returns a new curve. The empty word is the
+    trivial curve at its basepoint.
     """
 
-    def __init__(self, basepoint_lift, segments: Sequence[Segment] = ()):
-        bp = np.asarray(
-            getattr(basepoint_lift, "coords", basepoint_lift), dtype=float
-        ).copy()
+    __slots__ = ("basepoint_lift", "displacements", "flow", "_lifts")
+
+    def __init__(self, basepoint_lift, displacements=(), kinds=(),
+                 alpha: DirectionVector | None = None):
+        """kinds is a kind name per segment, or the flow mask itself.
+
+        Every segment is checked in one pass: known kind, nonzero step and,
+        with alpha given, flow steps collinear with it and transverse steps
+        not.
+        """
+        bp = np.array(getattr(basepoint_lift, "coords", basepoint_lift), dtype=float)
         if bp.ndim != 1 or bp.size < 1:
             raise ValueError("basepoint must be a nonempty vector")
-        normalized: list[Segment] = []
-        cursor = bp
-        for seg in segments:
-            gap = seg.start - cursor
-            if float(np.max(np.abs(gap - np.round(gap)))) > MATCH_TOL:
-                raise ValueError("segments are not incident up to a deck shift")
-            normalized.append(Segment(cursor, seg.displacement, seg.kind))
-            cursor = cursor + seg.displacement
-        self.basepoint_lift = bp
-        self.segments = tuple(normalized)
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        disps = np.array(displacements, dtype=float)
+        if not len(disps):
+            disps = disps.reshape(0, bp.size)
+        if disps.ndim != 2 or disps.shape[1] != bp.size:
+            raise ValueError("displacements must be an (S, d) array")
+        if isinstance(kinds, np.ndarray) and kinds.dtype == bool:
+            flow, unknown = kinds.copy(), np.zeros(kinds.shape, dtype=bool)
+        else:
+            names = [k if isinstance(k, str) else "" for k in kinds]
+            flow = np.array([k == "flow" for k in names], dtype=bool)
+            unknown = np.array([k not in _KINDS for k in names], dtype=bool)
+        if flow.shape != (len(disps),):
+            raise ValueError("kinds must name every segment")
+        problems = [unknown, np.max(np.abs(disps), axis=1, initial=0.0) < 1e-15]
+        if alpha is not None:
+            collinear = _sine_angles(disps, alpha.alpha) <= COLLINEAR_TOL
+            problems += [flow & ~collinear, ~flow & collinear]
+        bad = np.stack(problems)
+        if bad.any():
+            first = int(np.argmax(bad.any(axis=0)))
+            raise ValueError(_PROBLEMS[int(np.argmax(bad[:, first]))])
+        # sequential running sums: lift of every segment start, then the end
+        lifts = np.cumsum(np.vstack([bp, disps]), axis=0)
+        for arr in (bp, disps, flow, lifts):
+            arr.flags.writeable = False  # shared by views such as starts
+        self.basepoint_lift, self.displacements, self.flow, self._lifts = bp, disps, flow, lifts
 
     @classmethod
     def from_steps(cls, basepoint_lift, steps: Iterable[tuple[str, Sequence[float]]],
                    alpha: DirectionVector | None = None) -> "PiecewiseCurve":
-        """Build by accumulation from (kind, displacement) steps.
-
-        With alpha given, each step's kind is validated against the
-        collinearity tolerance.
-        """
-        bp = np.asarray(
-            getattr(basepoint_lift, "coords", basepoint_lift), dtype=float
-        ).copy()
-        segs: list[Segment] = []
-        cursor = bp
-        for kind, disp in steps:
-            seg = Segment(cursor, disp, kind)
-            if alpha is not None:
-                sine = _sine_angle(seg.displacement, alpha.alpha)
-                if kind == "flow" and sine > COLLINEAR_TOL:
-                    raise ValueError("flow step is not collinear with the direction")
-                if kind == "transverse" and sine <= COLLINEAR_TOL:
-                    raise ValueError("transverse step is collinear with the direction")
-            segs.append(seg)
-            cursor = cursor + seg.displacement
-        return cls(bp, segs)
+        """Build from (kind, displacement) steps, validated as the constructor does."""
+        steps = list(steps)
+        return cls(basepoint_lift, [v for _, v in steps], [k for k, _ in steps], alpha)
 
     @classmethod
     def trivial(cls, basepoint_lift) -> "PiecewiseCurve":
-        return cls(basepoint_lift, ())
+        return cls(basepoint_lift)
 
     @property
     def d(self) -> int:
@@ -147,11 +114,16 @@ class PiecewiseCurve:
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
+        return len(self.displacements)
 
     @property
     def is_trivial(self) -> bool:
-        return not self.segments
+        return not self.n_segments
+
+    @property
+    def starts(self) -> np.ndarray:
+        """(S, d) lifts of the segment starts."""
+        return self._lifts[:-1]
 
     @property
     def start_lift(self) -> np.ndarray:
@@ -159,9 +131,7 @@ class PiecewiseCurve:
 
     @property
     def end_lift(self) -> np.ndarray:
-        if not self.segments:
-            return self.basepoint_lift
-        return self.segments[-1].end
+        return self._lifts[-1]
 
     @property
     def start(self) -> TorusPoint:
@@ -176,27 +146,20 @@ class PiecewiseCurve:
         return circle_dist(self.start_lift, self.end_lift) <= TORUS_TOL
 
     @property
+    def lengths(self) -> np.ndarray:
+        """Euclidean length of every segment, one np.linalg.norm per row.
+
+        The axis=1 form of the norm rounds some rows differently, and the
+        lengths reach split fractions and reported totals.
+        """
+        return np.array([np.linalg.norm(v) for v in self.displacements])
+
+    @property
     def total_length(self) -> float:
-        return float(sum(s.length for s in self.segments))
-
-    def steps(self) -> list[tuple[str, np.ndarray]]:
-        return [(s.kind, s.displacement) for s in self.segments]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lift starts, displacements) stacked, cached; empty is (0, d)."""
-        if self._arrays is None:
-            if self.segments:
-                starts = np.stack([s.start for s in self.segments])
-                disps = np.stack([s.displacement for s in self.segments])
-            else:
-                starts = np.zeros((0, self.d))
-                disps = np.zeros((0, self.d))
-            self._arrays = (starts, disps)
-        return self._arrays
+        return float(sum(self.lengths.tolist()))  # left to right, not pairwise
 
     def reverse(self) -> "PiecewiseCurve":
-        steps = [(s.kind, -s.displacement) for s in reversed(self.segments)]
-        return PiecewiseCurve.from_steps(self.end_lift, steps)
+        return PiecewiseCurve(self.end_lift, -self.displacements[::-1], self.flow[::-1])
 
     def __repr__(self) -> str:
         return (
@@ -216,11 +179,11 @@ def concatenate(g1: PiecewiseCurve, g2: PiecewiseCurve, tol: float = TORUS_TOL) 
         raise EndpointMismatch(
             f"cannot concatenate: gap {circle_dist(g1.end_lift, g2.start_lift):.3e}"
         )
-    return PiecewiseCurve.from_steps(g1.start_lift, g1.steps() + g2.steps())
-
-
-def reverse(g: PiecewiseCurve) -> PiecewiseCurve:
-    return g.reverse()
+    return PiecewiseCurve(
+        g1.start_lift,
+        np.concatenate([g1.displacements, g2.displacements]),
+        np.concatenate([g1.flow, g2.flow]),
+    )
 
 
 class CurveFamily:
@@ -252,10 +215,7 @@ class CurveFamily:
 
 def _fingerprint(family: CurveFamily) -> tuple:
     return tuple(
-        (
-            tuple(c.basepoint_lift.tolist()),
-            tuple((s.kind, tuple(s.displacement.tolist())) for s in c.segments),
-        )
+        (c.basepoint_lift.tobytes(), c.displacements.tobytes(), c.flow.tobytes())
         for c in family
     )
 
@@ -285,30 +245,25 @@ class RetracedArcLocation:
         return self.curve_a == self.curve_b
 
 
-def _collect_split_fractions(family: CurveFamily) -> dict[tuple[int, int], set[float]]:
+def _collect_split_fractions(family: CurveFamily) -> dict[int, set[float]]:
     """Anti-parallel overlap boundaries, as parameter fractions per segment.
 
-    Works modulo the integer lattice: segment s' overlaps segment s when
-    some deck translate of s' runs backwards along s's supporting line.
+    Segments are numbered across the family, curve after curve. Works
+    modulo the integer lattice: segment s' overlaps segment s when some
+    deck translate of s' runs backwards along s's supporting line.
     """
-    entries = []  # (curve idx, seg idx, start, disp, length, unit)
-    for ci, curve in enumerate(family):
-        for si, seg in enumerate(curve.segments):
-            ln = seg.length
-            entries.append((ci, si, seg.start, seg.displacement, ln, seg.displacement / ln))
-    cuts: dict[tuple[int, int], set[float]] = {}
-    if len(entries) < 2:
+    cuts: dict[int, set[float]] = {}
+    if sum(c.n_segments for c in family) < 2:
         return cuts
-    units = np.stack([e[5] for e in entries])
-    dots = units @ units.T
-    pairs = np.argwhere(dots <= -1.0 + 1e-12)
-    for ia, ib in pairs:
-        if ia >= ib:
-            continue
-        ca, sa, xa, va, la, _ = entries[ia]
-        cb, sb, xb, vb, lb, _ = entries[ib]
-        c = lb / la
-        r0 = xb - xa
+    starts = np.concatenate([c.starts for c in family])
+    disps = np.concatenate([c.displacements for c in family])
+    lengths = np.concatenate([c.lengths for c in family])
+    units = disps / lengths[:, None]
+    pairs = np.argwhere(units @ units.T <= -1.0 + 1e-12)
+    for ia, ib in pairs[pairs[:, 0] < pairs[:, 1]].tolist():
+        xa, va, la = starts[ia], disps[ia], lengths[ia]
+        c = lengths[ib] / la
+        r0 = starts[ib] - xa
         jstar = int(np.argmax(np.abs(va)))
         vj = va[jstar]
         a_lo, a_hi = -_FRACTION_TOL, 1.0 + c + _FRACTION_TOL
@@ -322,46 +277,50 @@ def _collect_split_fractions(family: CurveFamily) -> dict[tuple[int, int], set[f
             lo, hi = max(0.0, a - c), min(1.0, a)
             if (hi - lo) * la < MIN_OVERLAP:
                 continue
-            cuts.setdefault((ca, sa), set()).update((lo, hi))
-            cuts.setdefault((cb, sb), set()).update(((a - hi) / c, (a - lo) / c))
+            cuts.setdefault(ia, set()).update((lo, hi))
+            cuts.setdefault(ib, set()).update(((a - hi) / c, (a - lo) / c))
     return cuts
 
 
 def _split_family(family: CurveFamily) -> CurveFamily:
+    """Split every segment at its overlap boundaries; rows are pieces."""
     cuts = _collect_split_fractions(family)
     if not cuts:
         return family
     new_curves = []
-    for ci, curve in enumerate(family):
-        steps: list[tuple[str, np.ndarray]] = []
-        for si, seg in enumerate(curve.segments):
-            fracs = sorted(cuts.get((ci, si), ()))
+    first = 0  # family-wide number of the curve's first segment
+    for curve in family:
+        rows: list[int] = []
+        widths: list[float] = []
+        for si in range(curve.n_segments):
             points = [0.0]
-            for f in fracs:
+            for f in sorted(cuts.get(first + si, ())):
                 if f - points[-1] > _FRACTION_TOL and 1.0 - f > _FRACTION_TOL:
                     points.append(f)
             points.append(1.0)
-            for f0, f1 in zip(points, points[1:]):
-                steps.append((seg.kind, (f1 - f0) * seg.displacement))
-        new_curves.append(PiecewiseCurve.from_steps(curve.basepoint_lift, steps))
+            rows += [si] * (len(points) - 1)
+            widths += [f1 - f0 for f0, f1 in zip(points, points[1:])]
+        first += curve.n_segments
+        new_curves.append(PiecewiseCurve(
+            curve.basepoint_lift,
+            np.array(widths)[:, None] * curve.displacements[rows],
+            curve.flow[rows],
+        ))
     return CurveFamily(new_curves)
 
 
 def _reverse_match_table(ca: PiecewiseCurve, cb: PiecewiseCurve, tol: float) -> np.ndarray:
     """anti[p, q] is True when segment q of cb is the exact reversal of
     segment p of ca, up to a deck translate."""
-    sa, da = ca.arrays()
-    sb, db = cb.arrays()
-    if sa.shape[0] == 0 or sb.shape[0] == 0:
-        return np.zeros((sa.shape[0], sb.shape[0]), dtype=bool)
+    da, db = ca.displacements, cb.displacements
+    if not len(da) or not len(db):
+        return np.zeros((len(da), len(db)), dtype=bool)
     disp_gap = np.max(np.abs(da[:, None, :] + db[None, :, :]), axis=-1)
-    starts = reduce_mod1(sa)
-    ends = reduce_mod1(sb + db)
+    starts = reduce_mod1(ca.starts)
+    ends = reduce_mod1(cb.starts + db)
     delta = np.abs(starts[:, None, :] - ends[None, :, :]) % 1.0
     pos_gap = np.max(np.minimum(delta, 1.0 - delta), axis=-1)
-    kinds_a = np.array([s.kind == "flow" for s in ca.segments])
-    kinds_b = np.array([s.kind == "flow" for s in cb.segments])
-    kind_ok = kinds_a[:, None] == kinds_b[None, :]
+    kind_ok = ca.flow[:, None] == cb.flow[None, :]
     return (disp_gap <= tol) & (pos_gap <= tol) & kind_ok
 
 
@@ -380,7 +339,7 @@ def find_retraced_arc(family: CurveFamily, tol: float = MATCH_TOL) -> RetracedAr
             anti = _reverse_match_table(split[i], split[j], tol)
             if not anti.any():
                 continue
-            lengths = np.array([s.length for s in split[i].segments])
+            lengths = split[i].lengths
             ma, mb = anti.shape
             for p in range(ma):
                 for qe in range(mb):
@@ -415,22 +374,24 @@ def find_retraced_arc(family: CurveFamily, tol: float = MATCH_TOL) -> RetracedAr
     )
 
 
-def _rebuild(pieces: Sequence[Segment]) -> PiecewiseCurve | None:
-    """Join segment pieces into one curve; empty words are dropped (None).
+def _rebuild(*pieces: tuple[PiecewiseCurve, int, int]) -> PiecewiseCurve | None:
+    """Join the segment ranges [lo, hi) of curves into one curve.
 
-    Later pieces are rebased by accumulation; junctions must already agree
-    on the torus (guaranteed by the retraced-arc match).
+    Empty words are dropped (None). The lifts are re-accumulated from the
+    first start; every junction must already agree on the torus (the
+    retraced-arc match guarantees it), else EndpointMismatch.
     """
-    if not pieces:
+    starts = np.concatenate([c.starts[lo:hi] for c, lo, hi in pieces])
+    if not len(starts):
         return None
-    cursor = pieces[0].start
-    steps = []
-    for seg in pieces:
-        if circle_dist(cursor, seg.start) > 1e-9:
-            raise AssertionError("excision produced a discontinuous word")
-        steps.append((seg.kind, seg.displacement))
-        cursor = cursor + seg.displacement
-    return PiecewiseCurve.from_steps(pieces[0].start, steps)
+    joined = PiecewiseCurve(
+        starts[0],
+        np.concatenate([c.displacements[lo:hi] for c, lo, hi in pieces]),
+        np.concatenate([c.flow[lo:hi] for c, lo, hi in pieces]),
+    )
+    if circle_dist(joined.starts, starts) > 1e-9:
+        raise EndpointMismatch("excision produced a discontinuous word")
+    return joined
 
 
 def simple_excision(family: CurveFamily, loc: RetracedArcLocation) -> CurveFamily:
@@ -444,36 +405,21 @@ def simple_excision(family: CurveFamily, loc: RetracedArcLocation) -> CurveFamil
         raise StaleLocation("family changed since the arc was located")
     split = loc.split
     m = loc.length
-    out: list[PiecewiseCurve | None] = []
+    g1, g2 = split[loc.curve_a], split[loc.curve_b]
     if loc.same_curve:
-        segs = list(split[loc.curve_a].segments)
-        a = segs[: loc.start_a]
-        b = segs[loc.start_a + m : loc.start_b]
-        c = segs[loc.start_b + m :]
-        out = [_rebuild(a + c), _rebuild(b)]
-        result = (
-            list(split.curves[: loc.curve_a])
-            + [w for w in out if w is not None]
-            + list(split.curves[loc.curve_a + 1 :])
-        )
-        return CurveFamily(result)
-    segs1 = list(split[loc.curve_a].segments)
-    segs2 = list(split[loc.curve_b].segments)
-    a = segs1[: loc.start_a]
-    b = segs1[loc.start_a + m :]
-    c = segs2[: loc.start_b]
-    dpart = segs2[loc.start_b + m :]
-    if split[loc.curve_b].is_closed:
-        out = [_rebuild(a + dpart + c + b)]
+        a = (g1, 0, loc.start_a)
+        b = (g1, loc.start_a + m, loc.start_b)
+        c = (g1, loc.start_b + m, g1.n_segments)
+        out = [_rebuild(a, c), _rebuild(b)]
     else:
-        out = [_rebuild(a + dpart), _rebuild(c + b)]
+        a, b = (g1, 0, loc.start_a), (g1, loc.start_a + m, g1.n_segments)
+        c, d = (g2, 0, loc.start_b), (g2, loc.start_b + m, g2.n_segments)
+        out = [_rebuild(a, d, c, b)] if g2.is_closed else [_rebuild(a, d), _rebuild(c, b)]
     result = []
     for k, crv in enumerate(split):
         if k == loc.curve_a:
             result.extend(w for w in out if w is not None)
-        elif k == loc.curve_b:
-            continue
-        else:
+        elif k != loc.curve_b:
             result.append(crv)
     return CurveFamily(result)
 

@@ -1,8 +1,9 @@
 """File formats: JSON schemas with decimal-string numbers, atomic writes.
 
 Numbers in files are decimal strings (or plain JSON numbers on input), so
-outputs are platform-independent bytes. Loaders raise SchemaError with the
-offending field named; writers go through a temp file plus rename.
+outputs are platform-independent bytes; every number read must be finite.
+Loaders raise SchemaError with the offending field named; writers go
+through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -10,12 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .curves import CurveFamily, PiecewiseCurve
-from .spectral import OneForm, TrigPoly
+from .spectral import TrigPoly
 from .torus_flow import DirectionVector
 
 
@@ -32,9 +36,14 @@ def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise SchemaError(f"{where}: expected a number or decimal string")
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise SchemaError(f"{where}: bad numeric literal {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{where}: number out of float range") from None
+    if not math.isfinite(x):
+        raise SchemaError(f"{where}: non-finite number {value!r}")
+    return x
 
 
 def _require(obj, key: str, where: str):
@@ -78,7 +87,7 @@ def direction_to_json(alpha: DirectionVector) -> dict:
     return {"d": alpha.d, "alpha": [fnum(a) for a in alpha.alpha]}
 
 
-# --- trig polys and one-forms ---
+# --- trig polys ---
 
 
 def trig_from_json(obj, where: str = "function") -> TrigPoly:
@@ -112,27 +121,8 @@ def trig_to_json(f: TrigPoly) -> dict:
     return {"d": f.d, "modes": entries}
 
 
-def form_from_json(obj, where: str = "form") -> OneForm:
-    d = _require(obj, "d", where)
-    comps = _require(obj, "components", where)
-    if not isinstance(comps, list) or len(comps) != d:
-        raise SchemaError(f"{where}: components must list exactly d entries")
-    polys = []
-    for j, comp in enumerate(comps):
-        payload = dict(comp) if isinstance(comp, dict) else None
-        if payload is None:
-            raise SchemaError(f"{where}.components[{j}]: expected an object")
-        payload.setdefault("d", d)
-        polys.append(trig_from_json(payload, f"{where}.components[{j}]"))
-    return OneForm(polys)
-
-
 def load_trig(path) -> TrigPoly:
     return trig_from_json(read_json(path), where=str(path))
-
-
-def load_form(path) -> OneForm:
-    return form_from_json(read_json(path), where=str(path))
 
 
 # --- curves and families ---
@@ -146,16 +136,16 @@ def curve_from_json(obj, where: str = "curve") -> PiecewiseCurve:
     raw = obj.get("segments", [])
     if not isinstance(raw, list):
         raise SchemaError(f"{where}: segments must be a list")
-    steps = []
+    kinds, flat = [], []
     for i, seg in enumerate(raw):
         spot = f"{where}.segments[{i}]"
-        kind = _require(seg, "kind", spot)
+        kinds.append(_require(seg, "kind", spot))
         disp = _require(seg, "displacement", spot)
         if not isinstance(disp, list) or len(disp) != len(bp):
             raise SchemaError(f"{spot}: displacement must list d components")
-        steps.append((kind, [_num(v, spot) for v in disp]))
+        flat.extend(_num(v, spot) for v in disp)
     try:
-        return PiecewiseCurve.from_steps(bp, steps)
+        return PiecewiseCurve(bp, np.array(flat).reshape(len(kinds), len(bp)), kinds)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -180,10 +170,10 @@ def curve_to_json(curve: PiecewiseCurve) -> dict:
         "basepoint": [fnum(v) for v in curve.basepoint_lift],
         "segments": [
             {
-                "kind": seg.kind,
-                "displacement": [fnum(v) for v in seg.displacement],
+                "kind": "flow" if is_flow else "transverse",
+                "displacement": [fnum(v) for v in disp],
             }
-            for seg in curve.segments
+            for is_flow, disp in zip(curve.flow.tolist(), curve.displacements.tolist())
         ],
     }
 

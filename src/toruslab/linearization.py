@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import TWIST_TOL, CurrentHandle, TwistedCurrent, phase_average, twist
+from .currents import TWIST_TOL, phase_average
 from .curves import PiecewiseCurve
 from .errors import BasepointMismatch, EndpointMismatch, ResonantMode, SeparationNotFound
 from .errors import TwistRouteMismatch
@@ -106,15 +106,16 @@ class BatteryTable(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class LinearizationPoint:
-    """A point of the target group, held as a representative path current.
+    """A point of the target group: the twisted current of a path from x to y.
 
     table holds the twisted value of every battery form, in battery order;
     it is the finite shadow of the current and everything downstream reads
-    only this vector. raw holds the untwisted values alongside.
+    only this vector. raw holds the untwisted values alongside, and path
+    the representative path itself.
     """
 
     endpoint: TorusPoint
-    representative: TwistedCurrent
+    path: PiecewiseCurve
     table: np.ndarray
     raw: np.ndarray
     basepoint: TorusPoint
@@ -194,8 +195,8 @@ def _tabulate(
     if path.d != battery.d:
         raise ValueError("dimension mismatch")
     modes = battery.modes.astype(float)
-    starts, disps = path.arrays()
-    kernel = np.exp(2j * np.pi * (reduce_mod1(starts) @ modes.T))
+    disps = path.displacements
+    kernel = np.exp(2j * np.pi * (reduce_mod1(path.starts) @ modes.T))
     kernel *= phase_average(disps @ modes.T)
     K = np.einsum("sm,sj->mj", kernel, disps)  # no BLAS: its complex buffers cost RSS
     if path.is_closed:
@@ -238,8 +239,7 @@ def linearize(
     if battery is None:
         battery = build_battery(path.d, cutoff)
     raw, table = _tabulate(path, alpha, battery, eps_res)
-    rep = twist(CurrentHandle(path), alpha, eps_res)
-    return LinearizationPoint(y, rep, table=table, raw=raw, basepoint=x, battery=battery)
+    return LinearizationPoint(y, path, table=table, raw=raw, basepoint=x, battery=battery)
 
 
 def generator(
@@ -274,11 +274,13 @@ def check_equivariance(
     is an exact identity; it is tabulated afresh, independently of p, so
     the return value is numerical dust.
     """
-    source = p.representative.base.source
-    steps = source.steps()
+    extended = p.path
     if t != 0.0:
-        steps = steps + [("flow", float(t) * alpha.alpha)]
-    extended = PiecewiseCurve.from_steps(source.start_lift, steps)
+        extended = PiecewiseCurve(
+            extended.start_lift,
+            np.vstack([extended.displacements, float(t) * alpha.alpha]),
+            np.append(extended.flow, True),
+        )
     target = flow(p.endpoint, t, alpha)
     q = linearize(target, p.basepoint, extended, alpha, battery=p.battery, eps_res=eps_res)
     gen = generator(alpha, battery=p.battery, eps_res=eps_res)

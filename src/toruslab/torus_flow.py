@@ -165,9 +165,6 @@ class DirectionVector:
                 total += int(v) * f
         return float(total)
 
-    def cache_key(self) -> tuple:
-        return self.exact
-
     def __repr__(self) -> str:
         return f"DirectionVector({self.alpha.tolist()})"
 
@@ -305,16 +302,13 @@ def liouville_vector(d: int, schedule: Sequence[int]) -> LiouvilleVector:
     sched = [int(s) for s in schedule]
     if not sched or sched[0] < 1 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise BadSchedule(f"schedule must be strictly increasing and positive: {sched}")
-    lam = Fraction(0)
+    # p_k / 10^(s_k) is the k-th partial sum: p_k = p_{k-1} 10^(s_k - s_{k-1}) + 1
     convergents: list[tuple[int, int]] = []
+    p, prev = 0, 0
     for s in sched:
-        lam += Fraction(1, 10**s)
-    partial = Fraction(0)
-    for s in sched:
-        partial += Fraction(1, 10**s)
-        q = 10**s
-        p = partial * q
-        assert p.denominator == 1
-        convergents.append((int(p), q))
+        p = p * 10 ** (s - prev) + 1
+        prev = s
+        convergents.append((p, 10**s))
+    lam = Fraction(*convergents[-1])
     direction = DirectionVector([1.0, float(lam)], exact=(Fraction(1), lam))
     return LiouvilleVector(direction, convergents)

@@ -1,9 +1,13 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from toruslab.cli import ExperimentConfig, main
-from toruslab.jsonio import SchemaError
+from toruslab.curves import CurveFamily
+from toruslab.jsonio import SchemaError, family_to_json, json_text
+from toruslab.sampling import random_retrace_family
 
 
 GOLDEN_ALPHA = '{"d": 2, "alpha": ["1", "1.618033988749894848204586834365638118"]}\n'
@@ -271,3 +275,70 @@ def test_csv_fallback_for_json_payloads(files, capsys):
     assert lines[0] == "key,value"
     keys = {line.split(",")[0] for line in lines[1:]}
     assert "c_min" in keys and "argmin.0" in keys
+
+
+# sha256 of each command's stdout; a change that moves output bytes must
+# update the digest and record the drift.
+RECORDED_SHA256 = {
+    "excise": "1a2a287e00804ea79c84e1feb1fc513be6aeb0340a780465db1e12162f4fa772",
+    "linearize-demo-csv": "4cad67a0031be1d5db7e1f09e769d195bb527c247330170e5fc36dc4f743552d",
+    "linearize-demo-json": "d515efddda95ede00cddd8d67e7e98cec27cc5f0298ca79625350b825fa1b70c",
+    "equivariance-test": "071469f766eb4a2300c0b2953294826cda479b34bfd2d1939b52abc7a41dfd7b",
+}
+
+
+def test_outputs_match_recorded_bytes(files, capsys, tmp_path):
+    # plants: within (seed 0), cross (seed 2), partial (seeds 7 and 10)
+    family = CurveFamily(
+        curve
+        for seed in (0, 2, 7, 10)
+        for curve in random_retrace_family(np.random.default_rng(seed))
+    )
+    planted = tmp_path / "planted.json"
+    planted.write_text(json_text(family_to_json(family)))
+    demo = ["--alpha", files["golden.json"], "--cutoff", "2", "--samples", "3", "--seed", "4"]
+    corpus = {
+        "excise": ["excise", "--curve", str(planted)],
+        "linearize-demo-csv": ["linearize-demo", *demo, "--format", "csv"],
+        "linearize-demo-json": ["linearize-demo", *demo, "--format", "json"],
+        "equivariance-test": [
+            "equivariance-test", "--alpha", files["golden.json"],
+            "--cutoff", "2", "--samples", "2", "--seed", "4",
+        ],
+    }
+    digests = {}
+    for name, argv in corpus.items():
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "", name
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == RECORDED_SHA256
+
+
+NON_FINITE = {  # command -> (input flag, file with one non-finite number)
+    "excise": ("--curve", {
+        "basepoint": ["0.1", "0.1"],
+        "segments": [{"kind": "transverse", "displacement": ["nan", "0.2"]}],
+    }),
+    "linearize-demo": ("--curve", {
+        "basepoint": ["inf", "0.1"],
+        "segments": [{"kind": "transverse", "displacement": ["0.3", "0.2"]}],
+    }),
+    "solve-cohomology": ("--function", {
+        "d": 2, "modes": [{"n": [1, 0], "re": "nan", "im": "0"}],
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_FINITE))
+def test_non_finite_input_exits_two(command, files, capsys, tmp_path):
+    flag, payload = NON_FINITE[command]
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(payload))
+    argv = [command, flag, str(bad)]
+    if command != "excise":
+        argv += ["--alpha", files["golden.json"]]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "SchemaError"
+    assert "non-finite" in record["message"]

@@ -123,16 +123,16 @@ def test_evaluate_matches_quadrature(seed):
     eta = OneForm(comps)
     T = CurrentHandle(curve)
 
-    def integrand(u, seg):
-        x = seg.start + u * seg.displacement
+    def integrand(u, start, disp):
+        x = start + u * disp
         return sum(
-            comps[j](x) * seg.displacement[j] for j in range(2)
+            comps[j](x) * disp[j] for j in range(2)
         )
 
     expected = 0.0
-    for seg in curve.segments:
+    for start, disp in zip(curve.starts, curve.displacements):
         val, err = quad(
-            integrand, 0.0, 1.0, args=(seg,), limit=400, epsabs=1e-13, epsrel=1e-13
+            integrand, 0.0, 1.0, args=(start, disp), limit=400, epsabs=1e-13, epsrel=1e-13
         )
         assert err < 1e-8
         expected += val

@@ -1,18 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from toruslab.curves import (
     CurveFamily,
     PiecewiseCurve,
-    Segment,
     boundaries_equal,
     boundary_multiset,
     concatenate,
     find_retraced_arc,
-    flow_segment,
     maximal_excision,
     simple_excision,
-    transverse_segment,
 )
 from toruslab.errors import EndpointMismatch, StaleLocation
 from toruslab.torus_flow import DirectionVector, circle_dist
@@ -27,43 +26,68 @@ def tcurve(basepoint, *disps):
 
 
 def test_segment_rejects_zero_displacement():
-    with pytest.raises(ValueError):
-        Segment([0.0, 0.0], [0.0, 0.0], "transverse")
+    with pytest.raises(ValueError, match="nonzero"):
+        PiecewiseCurve([0.0, 0.0], [[0.1, 0.0], [0.0, 0.0]], ["transverse"] * 2)
 
 
 def test_segment_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        Segment([0.0, 0.0], [0.1, 0.0], "diagonal")
+    with pytest.raises(ValueError, match="kind must be one of"):
+        PiecewiseCurve([0.0, 0.0], [[0.1, 0.0]], ["diagonal"])
 
 
 def test_segment_end_and_reverse():
-    s = Segment([0.25, 0.5], [0.5, 0.25], "transverse")
-    assert np.allclose(s.end, [0.75, 0.75])
-    r = s.reversed()
-    assert np.allclose(r.start, s.end)
-    assert np.allclose(r.end, s.start)
-    assert r.kind == s.kind
-
-
-def test_flow_segment_zero_duration_is_none():
-    assert flow_segment([0.0, 0.0], 0.0, GOLDEN) is None
+    g = PiecewiseCurve([0.25, 0.5], [[0.5, 0.25]], np.array([False]))
+    assert np.allclose(g.end_lift, [0.75, 0.75])
+    r = g.reverse()
+    assert np.allclose(r.start_lift, g.end_lift)
+    assert np.allclose(r.end_lift, g.start_lift)
+    assert r.flow.tolist() == g.flow.tolist()
 
 
 def test_flow_segment_direction():
-    s = flow_segment([0.0, 0.0], 2.0, GOLDEN)
-    assert s.kind == "flow"
-    assert np.allclose(s.displacement, 2.0 * GOLDEN.alpha)
+    g = PiecewiseCurve.from_steps([0.0, 0.0], [("flow", 2.0 * GOLDEN.alpha)], alpha=GOLDEN)
+    assert g.flow.tolist() == [True]
+    assert np.allclose(g.displacements[0], 2.0 * GOLDEN.alpha)
 
 
 def test_transverse_segment_rejects_collinear():
-    with pytest.raises(ValueError):
-        transverse_segment([0.0, 0.0], 0.5 * GOLDEN.alpha, GOLDEN)
+    with pytest.raises(ValueError, match="transverse step is collinear"):
+        PiecewiseCurve([0.0, 0.0], [0.5 * GOLDEN.alpha], ["transverse"], alpha=GOLDEN)
+
+
+def test_constructor_reports_first_bad_segment():
+    # a later segment's problem never masks an earlier one's
+    disps = [[0.1, 0.0], [0.0, 0.0], [0.2, 0.0]]
+    with pytest.raises(ValueError, match="nonzero"):
+        PiecewiseCurve([0.0, 0.0], disps, ["transverse", "transverse", "spiral"])
+    with pytest.raises(ValueError, match="kind must be one of"):
+        PiecewiseCurve([0.0, 0.0], disps, ["transverse", "spiral", "transverse"])
+    with pytest.raises(ValueError, match="flow step is not collinear"):
+        PiecewiseCurve([0.0, 0.0], disps[:1], ["flow"], alpha=GOLDEN)
+    with pytest.raises(ValueError, match="name every segment"):
+        PiecewiseCurve([0.0, 0.0], disps[:1], ["transverse"] * 2)
+    with pytest.raises(ValueError, match=r"\(S, d\)"):
+        PiecewiseCurve([0.0, 0.0], [[0.1, 0.0, 0.0]], ["transverse"])
+
+
+def test_starts_are_sequential_running_sums():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        d = int(rng.integers(1, 4))
+        bp = rng.uniform(-1.0, 1.0, size=d) * 10.0 ** rng.integers(0, 14)
+        disps = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 40)), d))
+        g = PiecewiseCurve(bp, disps, np.zeros(len(disps), dtype=bool))
+        cursor = bp.copy()
+        for k, v in enumerate(disps):
+            assert np.array_equal(g.starts[k], cursor)
+            cursor = cursor + v
+        assert np.array_equal(g.end_lift, cursor)
 
 
 def test_from_steps_accumulates_lifts():
     g = tcurve([0.0, 0.0], [0.25, 0.0], [0.0, 0.5], [0.5, 0.25])
     assert g.n_segments == 3
-    assert np.allclose(g.segments[1].start, [0.25, 0.0])
+    assert np.allclose(g.starts[1], [0.25, 0.0])
     assert np.allclose(g.end_lift, [0.75, 0.75])
     assert not g.is_closed
 
@@ -79,26 +103,11 @@ def test_from_steps_validates_kinds_against_direction():
         )
 
 
-def test_constructor_allows_deck_shifted_segments():
-    # second segment given in a neighboring fundamental domain
-    s1 = Segment([0.0, 0.0], [0.25, 0.0], "transverse")
-    s2 = Segment([1.25, 2.0], [0.0, 0.5], "transverse")
-    g = PiecewiseCurve([0.0, 0.0], [s1, s2])
-    assert np.allclose(g.segments[1].start, [0.25, 0.0])
-
-
-def test_constructor_rejects_disconnected_segments():
-    s1 = Segment([0.0, 0.0], [0.25, 0.0], "transverse")
-    s2 = Segment([0.5, 0.5], [0.0, 0.5], "transverse")
-    with pytest.raises(ValueError):
-        PiecewiseCurve([0.0, 0.0], [s1, s2])
-
-
 def test_reverse_is_involutive():
     g = tcurve([0.125, 0.25], [0.25, 0.0], [0.0, 0.5])
     back = g.reverse().reverse()
     assert np.allclose(back.basepoint_lift, g.basepoint_lift)
-    assert np.allclose(back.arrays()[1], g.arrays()[1])
+    assert np.allclose(back.displacements, g.displacements)
 
 
 def test_concatenate_joins_and_rebases():
@@ -185,7 +194,7 @@ def test_two_curve_rewrite_closed_second_merges():
     assert merged.n_segments == 4
     assert circle_dist(merged.start_lift, g1.start_lift) <= 1e-12
     assert circle_dist(merged.end_lift, g1.end_lift) <= 1e-12
-    disps = merged.arrays()[1]
+    disps = merged.displacements
     assert np.allclose(
         disps, [[0.2, 0.0], [0.3, -0.1], [0.0, 0.2], [0.1, 0.0]]
     )
@@ -269,6 +278,16 @@ def test_longest_arc_wins_over_shorter():
     assert loc is not None
     assert loc.curve_a == 1
     assert loc.arc_length == pytest.approx(0.4, abs=1e-12)
+
+
+def test_simple_excision_rejects_broken_junction():
+    # a r r~ c d with the reversal misplaced by one: a and d do not meet
+    g = tcurve([0.1, 0.1], [0.1, 0.0], [0.3, 0.2], [-0.3, -0.2], [0.0, 0.2], [0.2, 0.0])
+    fam = CurveFamily([g])
+    loc = find_retraced_arc(fam)
+    assert (loc.start_a, loc.start_b, loc.length) == (1, 2, 1)
+    with pytest.raises(EndpointMismatch, match="discontinuous"):
+        simple_excision(fam, dataclasses.replace(loc, start_b=3))
 
 
 def test_stale_location_rejected():
@@ -364,12 +383,12 @@ def test_flow_segments_participate_in_excision():
     assert loc is not None and loc.length == 1
     out = simple_excision(fam, loc)
     assert len(out) == 1
-    assert out[0].segments[0].kind == "transverse"
+    assert out[0].flow.tolist() == [False]
 
 
 def test_kind_mismatch_blocks_match():
     # same geometry, different kinds: not a retraced arc
-    s1 = Segment([0.0, 0.0], [0.3, 0.2], "flow")
-    s2 = Segment([0.3, 0.2], [-0.3, -0.2], "transverse")
-    g = PiecewiseCurve([0.0, 0.0], [s1, s2])
+    g = PiecewiseCurve.from_steps(
+        [0.0, 0.0], [("flow", [0.3, 0.2]), ("transverse", [-0.3, -0.2])]
+    )
     assert find_retraced_arc(CurveFamily([g])) is None

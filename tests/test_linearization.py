@@ -113,7 +113,7 @@ def test_path_difference_is_the_closing_loop():
     y = TorusPoint([0.3, 0.4])
     p1 = lin(y, tpath([0.0, 0.0], [0.3, 0.4]))
     p2 = lin(y, tpath([0.0, 0.0], [0.0, 0.4], [0.3, 0.0]))
-    closing = concatenate(p1.representative.base.source, p2.representative.base.source.reverse())
+    closing = concatenate(p1.path, p2.path.reverse())
     T = CurrentHandle(closing)
     for fid, form in BATTERY2:
         gap = p1.evaluations[fid] - p2.evaluations[fid]
@@ -157,11 +157,10 @@ def test_equivariance_additivity_triangle():
     p = lin(TorusPoint(y), tpath([0.0, 0.0], y))
     d1 = check_equivariance(p, 1.3, GOLDEN)
     d2 = check_equivariance(p, -0.9, GOLDEN)
-    steps = p.representative.base.source.steps() + [
+    composite = concatenate(p.path, PiecewiseCurve.from_steps(p.path.end_lift, [
         ("flow", 1.3 * GOLDEN.alpha),
         ("flow", -0.9 * GOLDEN.alpha),
-    ]
-    composite = PiecewiseCurve.from_steps([0.0, 0.0], steps)
+    ]))
     q = linearize(
         flow(TorusPoint(y), 0.4, GOLDEN), ORIGIN, composite, GOLDEN, battery=BATTERY2
     )
@@ -177,11 +176,11 @@ def test_albanese_semi_conjugacy_single_sample():
     y = np.array([0.37, 0.81])
     t = 2.125
     p = lin(TorusPoint(y), tpath([0.0, 0.0], y))
-    steps = p.representative.base.source.steps() + [("flow", t * GOLDEN.alpha)]
+    flowed = PiecewiseCurve.from_steps(p.path.end_lift, [("flow", t * GOLDEN.alpha)])
     q = linearize(
         flow(TorusPoint(y), t, GOLDEN),
         ORIGIN,
-        PiecewiseCurve.from_steps([0.0, 0.0], steps),
+        concatenate(p.path, flowed),
         GOLDEN,
         battery=BATTERY2,
     )

@@ -24,12 +24,10 @@ from .errors import (
 from .torus_flow import (
     DiophantineCertificate,
     DirectionVector,
-    LiftPoint,
     TorusPoint,
     certify_diophantine,
     find_resonances,
     flow,
-    flow_lift,
     liouville_vector,
 )
 from .spectral import (
@@ -47,6 +45,7 @@ from .curves import (
     CurveFamily,
     PiecewiseCurve,
     RetracedArcLocation,
+    ZeroCurrent,
     boundaries_equal,
     boundary_multiset,
     concatenate,
@@ -55,19 +54,13 @@ from .curves import (
     simple_excision,
 )
 from .currents import (
-    CurrentHandle,
-    TwistedCurrent,
-    ZeroCurrent,
-    boundary,
     evaluate,
     evaluate_family,
     evaluate_twisted,
     is_loop_current,
     project_pi_x,
-    twist,
 )
 from .linearization import (
-    AlbanesePoint,
     BatteryTable,
     LinearizationPoint,
     SeparationReport,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,6 +80,13 @@ class ExperimentConfig:
             raise SchemaError("samples must be >= 1")
         if self.fmt not in ("json", "csv"):
             raise SchemaError("format must be json or csv")
+        # NaN fails every comparison, so these reject it too
+        if self.tau is not None and not 0.0 <= self.tau < math.inf:
+            raise SchemaError("tau must be finite and >= 0")
+        if not 0.0 <= self.eps_res < math.inf:
+            raise SchemaError("eps-res must be finite and >= 0 (0 detects exact zeros only)")
+        if self.basepoint is not None and not all(map(math.isfinite, self.basepoint)):
+            raise SchemaError("basepoint must be finite")
 
 
 def _emit(config: ExperimentConfig, payload=None, header=None, rows=None) -> None:

@@ -1,30 +1,25 @@
 """Integration 1-currents over polygonal torus curves.
 
-A curve integrates trig-poly one-forms in closed form, one exponential
-kernel per (segment, mode) pair. On top of that sit the boundary operator
-(a signed point mass), the endpoint projection, and the twisted evaluation
-that subtracts the coboundary part of a form so only its flow-cohomology
-class is seen.
+A curve is read as a current by integration: every function here takes
+the curve itself. Trig-poly one-forms integrate in closed form, one
+exponential kernel per (segment, mode) pair (phase_kernel, shared with the
+battery tabulation of linearization). The boundary of a curve is the signed
+point mass curves.boundary_multiset; on top of it sit the endpoint
+projection and the twisted evaluation, which subtracts the coboundary part
+of a form so only its flow-cohomology class is seen.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import CurveFamily, PiecewiseCurve
+from .curves import CurveFamily, PiecewiseCurve, ZeroCurrent, boundaries_equal, boundary_multiset
 from .errors import BasepointMismatch, TwistRouteMismatch
-from .spectral import OneForm, TrigPoly, exterior_derivative, solve_for_form
-from .torus_flow import (
-    RESONANCE_EPS,
-    TORUS_TOL,
-    DirectionVector,
-    TorusPoint,
-    circle_dist,
-    reduce_mod1,
-)
+from .spectral import OneForm, exterior_derivative, solve_for_form
+from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint, circle_dist, reduce_mod1
 
 SERIES_CUTOFF = 1e-4   # |u| below this evaluates E(u) by Taylor series
-TWIST_TOL = 1e-10      # the two twisted-evaluation routes must agree to this
+TWIST_TOL = 1e-10      # twisted routes must agree to this, relative to their largest term
 _TWO_PI = 2.0 * np.pi
 
 
@@ -45,185 +40,95 @@ def phase_average(u):
     return np.where(small, series, closed)
 
 
-class CurrentHandle:
-    """The integration current of one curve."""
+def phase_kernel(path: PiecewiseCurve, modes: np.ndarray) -> np.ndarray:
+    """(S, M) kernel e^{2 pi i n.x_s} E(n.v_s) of every segment s and mode n.
 
-    __slots__ = ("source",)
-
-    def __init__(self, source: PiecewiseCurve):
-        self.source = source
-
-    @property
-    def d(self) -> int:
-        return self.source.d
-
-    def __call__(self, eta: OneForm) -> float:
-        return evaluate(self, eta)
-
-    def __repr__(self) -> str:
-        return f"CurrentHandle({self.source!r})"
-
-
-class ZeroCurrent:
-    """A signed finite point mass on the torus (a current of degree zero).
-
-    Atoms within TORUS_TOL of each other (mod 1) are merged; zero weights
-    are dropped, so the empty mass is falsy.
+    modes is an (M, d) float array of integer frequencies. Segment starts
+    x_s are reduced mod 1 first, which is exact for integer n and keeps the
+    phases accurate on lifts far from the origin.
     """
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms=()):
-        merged: list[list] = []
-        for point, weight in atoms:
-            coords = reduce_mod1(
-                np.asarray(getattr(point, "coords", point), dtype=float)
-            )
-            for atom in merged:
-                if circle_dist(atom[0], coords) <= TORUS_TOL:
-                    atom[1] += weight
-                    break
-            else:
-                merged.append([coords, float(weight)])
-        kept = [
-            (TorusPoint(c), float(w)) for c, w in merged if abs(w) > 1e-12
-        ]
-        kept.sort(key=lambda pw: tuple(pw[0].coords.tolist()))
-        self.atoms = tuple(kept)
-
-    def pair(self, f: TrigPoly) -> float:
-        """Pairing with a function: sum of w * f(point)."""
-        return float(sum(w * f(p) for p, w in self.atoms))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.atoms
-
-    def __bool__(self) -> bool:
-        return bool(self.atoms)
-
-    def close_to(self, other: "ZeroCurrent", tol: float = TORUS_TOL) -> bool:
-        remaining = [[p.coords, w] for p, w in other.atoms]
-        for p, w in self.atoms:
-            for atom in remaining:
-                if circle_dist(atom[0], p.coords) <= tol:
-                    atom[1] -= w
-                    break
-            else:
-                remaining.append([p.coords, -w])
-        return all(abs(w) <= 1e-9 for _, w in remaining)
-
-    def __repr__(self) -> str:
-        terms = " ".join(
-            f"{w:+g}*d{tuple(np.round(p.coords, 6))}" for p, w in self.atoms
-        )
-        return f"ZeroCurrent({terms or '0'})"
+    kernel = np.exp(2j * np.pi * (reduce_mod1(path.starts) @ modes.T))
+    kernel *= phase_average(path.displacements @ modes.T)
+    return kernel
 
 
-def evaluate(T: CurrentHandle, eta: OneForm) -> float:
-    """Exact line integral of a trig-poly one-form along the source curve.
+def check_twist_routes(raw, via_boundary, via_form) -> None:
+    """Raise TwistRouteMismatch unless the two twisted routes agree.
 
-    Each segment contributes c_n * v_j * e^{2 pi i n.x0} * E(n.v) per mode
-    n of component j; the Hermitian mode set makes the total real. Segment
-    starts are reduced mod 1 first, which is exact for integer n and keeps
-    the phases accurate on lifts far from the origin.
+    Entry by entry, |via_boundary - via_form| must be at most TWIST_TOL
+    times the entry's largest term, max(1, |raw|, |boundary term|, |form
+    term|), where a route's term is raw minus the route. Both routes carry
+    the same amplification 1/(2 pi |n.alpha|), so their rounding error
+    scales with their terms, not with 1. The entry furthest over its bound
+    is reported; NaN fails too.
     """
-    curve = T.source
+    scale = np.maximum(
+        np.maximum(1.0, np.abs(raw)),
+        np.maximum(np.abs(raw - via_boundary), np.abs(raw - via_form)),
+    )
+    excess = np.atleast_1d(np.abs(via_boundary - via_form) / scale)
+    worst = int(np.argmax(excess))
+    if not excess[worst] <= TWIST_TOL:
+        raise TwistRouteMismatch(np.ravel(via_boundary)[worst], np.ravel(via_form)[worst])
+
+
+def evaluate(curve: PiecewiseCurve, eta: OneForm) -> float:
+    """Exact line integral of a trig-poly one-form along the curve.
+
+    One phase kernel K covers the modes of every component: segment s and
+    mode n of component j contribute v_s[j] K[s, n] c_n, and the Hermitian
+    mode set makes the total real.
+    """
     if curve.d != eta.d:
         raise ValueError("dimension mismatch")
-    if curve.n_segments == 0:
+    terms = [(j, n, c) for j, comp in enumerate(eta.components) for n, c in comp.modes.items()]
+    if not terms:
         return 0.0
-    starts = reduce_mod1(curve.starts)
-    disps = curve.displacements
-    total = 0.0 + 0.0j
-    for j, comp in enumerate(eta.components):
-        if not comp.modes:
-            continue
-        modes = np.array(list(comp.modes.keys()), dtype=float)
-        coeffs = np.array(list(comp.modes.values()), dtype=complex)
-        phases = starts @ modes.T
-        winds = disps @ modes.T
-        total += np.sum(
-            disps[:, j : j + 1]
-            * np.exp(2j * np.pi * phases)
-            * phase_average(winds)
-            * coeffs[None, :]
-        )
-    return float(total.real)
+    cols, modes, coeffs = zip(*terms)
+    kernel = phase_kernel(curve, np.array(modes, dtype=float))
+    return float(np.sum(curve.displacements[:, list(cols)] * kernel * np.array(coeffs)).real)
 
 
 def evaluate_family(family: CurveFamily, eta: OneForm) -> float:
     """Sum of the member currents, the current of a curve family."""
-    return float(sum(evaluate(CurrentHandle(c), eta) for c in family))
+    return float(sum(evaluate(c, eta) for c in family))
 
 
-def boundary(T: CurrentHandle) -> ZeroCurrent:
-    """Endpoint minus start point; empty for a closed curve."""
-    curve = T.source
-    if curve.is_closed:
-        return ZeroCurrent()
-    return ZeroCurrent([(curve.end, 1.0), (curve.start, -1.0)])
-
-
-def project_pi_x(T: CurrentHandle, x: TorusPoint) -> ZeroCurrent:
+def project_pi_x(curve: PiecewiseCurve, x: TorusPoint) -> ZeroCurrent:
     """The affine endpoint projection: boundary plus the mass at x.
 
     For a curve starting at x the two start terms cancel, leaving the
     endpoint mass alone, so homotopy class information is discarded.
     """
-    if circle_dist(T.source.start_lift, x.coords) > 1e-12:
+    if circle_dist(curve.start_lift, x.coords) > 1e-12:
         raise BasepointMismatch(
             "projection basepoint does not match the curve start"
         )
-    return ZeroCurrent([(T.source.end, 1.0)])
+    return ZeroCurrent([(curve.end, 1.0)])
 
 
-def is_loop_current(T1: CurrentHandle, T2: CurrentHandle) -> bool:
-    """True when T1 - T2 closes up into a loop current.
+def is_loop_current(c1: PiecewiseCurve, c2: PiecewiseCurve) -> bool:
+    """True when c1 - c2 closes up into a loop current.
 
     Requires a common basepoint; then the difference is a loop current
     exactly when the boundaries agree, i.e. the endpoints coincide.
     """
-    if circle_dist(T1.source.start_lift, T2.source.start_lift) > 1e-12:
+    if circle_dist(c1.start_lift, c2.start_lift) > 1e-12:
         raise BasepointMismatch("loop-current test needs a common basepoint")
-    return boundary(T1).close_to(boundary(T2))
+    return boundaries_equal(boundary_multiset(c1), boundary_multiset(c2))
 
 
-class TwistedCurrent:
-    """A curve current composed with the coboundary-killing projection."""
+def evaluate_twisted(curve: PiecewiseCurve, eta: OneForm, alpha: DirectionVector,
+                     eps_res: float = RESONANCE_EPS) -> float:
+    """The curve's integral of eta minus its boundary paired with h_eta.
 
-    __slots__ = ("base", "alpha", "eps_res")
-
-    def __init__(self, base: CurrentHandle, alpha: DirectionVector,
-                 eps_res: float = RESONANCE_EPS):
-        self.base = base
-        self.alpha = alpha
-        self.eps_res = eps_res
-
-    def __call__(self, eta: OneForm) -> float:
-        return evaluate_twisted(self, eta)
-
-    def __repr__(self) -> str:
-        return f"TwistedCurrent({self.base!r})"
-
-
-def twist(T: CurrentHandle, alpha: DirectionVector,
-          eps_res: float = RESONANCE_EPS) -> TwistedCurrent:
-    """Attach the twist; no computation happens until evaluation."""
-    return TwistedCurrent(T, alpha, eps_res)
-
-
-def evaluate_twisted(LT: TwistedCurrent, eta: OneForm) -> float:
-    """T(eta) minus the boundary paired with the transfer function h_eta.
-
-    Computed twice, once as raw minus boundary term and once as the
-    integral of eta - dh_eta; routes further apart than TWIST_TOL raise
-    TwistRouteMismatch on every call.
+    h_eta is the transfer function of eta along alpha. Computed twice, once
+    as raw minus boundary term and once as the integral of eta - dh_eta;
+    the two routes are held to check_twist_routes on every call.
     """
-    sol = solve_for_form(eta, LT.alpha, eps_res=LT.eps_res)
-    raw = evaluate(LT.base, eta)
-    via_boundary = raw - boundary(LT.base).pair(sol.h)
-    via_form = evaluate(LT.base, eta - exterior_derivative(sol.h))
-    if not abs(via_boundary - via_form) <= TWIST_TOL:  # NaN fails too
-        raise TwistRouteMismatch(via_boundary, via_form)
+    sol = solve_for_form(eta, alpha, eps_res=eps_res)
+    raw = evaluate(curve, eta)
+    via_boundary = raw - boundary_multiset(curve).pair(sol.h)
+    via_form = evaluate(curve, eta - exterior_derivative(sol.h))
+    check_twist_routes(raw, via_boundary, via_form)
     return via_boundary

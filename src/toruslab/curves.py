@@ -7,7 +7,8 @@ running sums of the displacements from the basepoint, so consecutive
 segments are incident by construction. Everything below works on index
 ranges of those arrays. Retraced-arc detection works modulo the integer
 lattice: an arc and its reversal may sit in different fundamental-domain
-copies.
+copies. The boundary of a curve or family is a ZeroCurrent, the one signed
+point-mass type of the package.
 
 Matching is exact up to MATCH_TOL = 1e-12; synthetic inputs realize their
 coincidences exactly, near misses are left alone. When a retraced overlap
@@ -439,50 +440,69 @@ def maximal_excision(family: CurveFamily, tol: float = MATCH_TOL) -> CurveFamily
     raise RuntimeError("excision did not terminate; this should be impossible")
 
 
+def _merge(atoms: Iterable[tuple], tol: float) -> list[list]:
+    """Sum the weights of atoms within tol of each other on the torus.
+
+    The one merge of signed point masses: each (point or coordinates,
+    weight) atom joins the first kept atom within tol (mod 1), else starts
+    a new one. Returns [coords, weight] pairs with coordinates reduced mod 1.
+    """
+    merged: list[list] = []
+    for point, weight in atoms:
+        red = reduce_mod1(getattr(point, "coords", point))
+        for atom in merged:
+            if circle_dist(atom[0], red) <= tol:
+                atom[1] += weight
+                break
+        else:
+            merged.append([red, float(weight)])
+    return merged
+
+
+class ZeroCurrent:
+    """A signed finite point mass on the torus (a current of degree zero).
+
+    Atoms are (point, weight) pairs; points may be TorusPoints or coordinate
+    vectors. Atoms within tol of each other (mod 1) are merged, weights of
+    at most 1e-9 are dropped, so the empty mass is falsy, and the rest are
+    sorted by coordinates.
+    """
+
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms=(), tol: float = TORUS_TOL):
+        kept = [(TorusPoint(c), w) for c, w in _merge(atoms, tol) if abs(w) > 1e-9]
+        kept.sort(key=lambda pw: tuple(pw[0].coords.tolist()))
+        self.atoms = tuple(kept)
+
+    def pair(self, f) -> float:
+        """Pairing with a function: sum of w * f(point)."""
+        return float(sum(w * f(p) for p, w in self.atoms))
+
+    def __bool__(self) -> bool:
+        return bool(self.atoms)
+
+    def __repr__(self) -> str:
+        terms = " ".join(
+            f"{w:+g}*d{tuple(np.round(p.coords, 6))}" for p, w in self.atoms
+        )
+        return f"ZeroCurrent({terms or '0'})"
+
+
 def boundary_multiset(
     family: CurveFamily | PiecewiseCurve, tol: float = TORUS_TOL
-) -> list[tuple[TorusPoint, float]]:
-    """Signed endpoint multiset: sum over curves of (end - start).
+) -> ZeroCurrent:
+    """The boundary: sum over curves of the point mass end - start.
 
-    Coincident points (mod 1, within tol) cancel exactly; output is sorted
-    by coordinates for determinism.
+    Coincident points (mod 1, within tol) cancel, so a closed curve has
+    the empty boundary.
     """
     curves = family.curves if isinstance(family, CurveFamily) else (family,)
-    atoms: list[list] = []  # [coords, weight]
-
-    def add(coords: np.ndarray, w: float):
-        red = reduce_mod1(coords)
-        for atom in atoms:
-            if circle_dist(atom[0], red) <= tol:
-                atom[1] += w
-                return
-        atoms.append([red, w])
-
-    for c in curves:
-        add(c.end_lift, 1.0)
-        add(c.start_lift, -1.0)
-    out = [
-        (TorusPoint(coords), float(w))
-        for coords, w in atoms
-        if abs(w) > 1e-9
-    ]
-    out.sort(key=lambda pw: tuple(pw[0].coords.tolist()))
-    return out
+    return ZeroCurrent(
+        [atom for c in curves for atom in ((c.end_lift, 1.0), (c.start_lift, -1.0))], tol
+    )
 
 
-def boundaries_equal(b1, b2, tol: float = TORUS_TOL) -> bool:
-    """Multiset equality of two signed point sets, mod 1 within tol."""
-    merged: list[list] = []
-
-    def add(point: TorusPoint, w: float):
-        for atom in merged:
-            if circle_dist(atom[0], point.coords) <= tol:
-                atom[1] += w
-                return
-        merged.append([point.coords, w])
-
-    for p, w in b1:
-        add(p, w)
-    for p, w in b2:
-        add(p, -w)
-    return all(abs(w) <= 1e-9 for _, w in merged)
+def boundaries_equal(b1: ZeroCurrent, b2: ZeroCurrent, tol: float = TORUS_TOL) -> bool:
+    """Equality of two signed point masses, mod 1 within tol."""
+    return not ZeroCurrent([*b1.atoms, *((p, -w) for p, w in b2.atoms)], tol)

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import TWIST_TOL, phase_average
+from .currents import check_twist_routes, phase_kernel
 from .curves import PiecewiseCurve
 from .errors import BasepointMismatch, EndpointMismatch, ResonantMode, SeparationNotFound
-from .errors import TwistRouteMismatch
 from .spectral import OneForm
-from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint, circle_dist, flow, reduce_mod1
+from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint, circle_dist, flow
 
 DEFAULT_CUTOFF = 3     # battery modulation frequencies up to this sup norm
 SEPARATION_TOL = 1e-9  # evaluation gaps below this never count as separation
@@ -129,16 +128,6 @@ class LinearizationPoint:
         return self.evaluations[form_id]
 
 
-@dataclass(frozen=True, eq=False)
-class AlbanesePoint:
-    """Pairing with the dx basis, reduced modulo the integer period lattice."""
-
-    coords: np.ndarray
-
-    def close_to(self, other: "AlbanesePoint", tol: float = 1e-9) -> bool:
-        return circle_dist(self.coords, other.coords) <= tol
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     """Outcome of an injectivity probe between two linearization points."""
@@ -189,16 +178,16 @@ def _tabulate(
     sin forms. Its transfer function is h = alpha_j e^{2 pi i n.x} /
     (2 pi i n.alpha), so the twist subtracts h(end) - h(start) (boundary
     route); the integral of dh, alpha_j (n.K_n) / n.alpha, is the form
-    route, and the two must agree to TWIST_TOL. The dx forms have h = 0.
+    route, and the two are held to check_twist_routes. The dx forms have
+    h = 0.
     """
     div = _divisors(alpha, battery, eps_res)
     if path.d != battery.d:
         raise ValueError("dimension mismatch")
     modes = battery.modes.astype(float)
     disps = path.displacements
-    kernel = np.exp(2j * np.pi * (reduce_mod1(path.starts) @ modes.T))
-    kernel *= phase_average(disps @ modes.T)
-    K = np.einsum("sm,sj->mj", kernel, disps)  # no BLAS: its complex buffers cost RSS
+    # einsum, not a complex matmul: BLAS buffers cost RSS
+    K = np.einsum("sm,sj->mj", phase_kernel(path, modes), disps)
     if path.is_closed:
         jump = np.zeros(len(div), dtype=complex)
     else:
@@ -209,10 +198,7 @@ def _tabulate(
     raw = _battery_vector(disps.sum(axis=0), K)
     twisted = raw - _battery_vector(zero, scale * (jump / (2j * np.pi))[:, None])
     via_form = raw - _battery_vector(zero, scale * (K * modes).sum(axis=1)[:, None])
-    gaps = np.abs(twisted - via_form)
-    worst = int(np.argmax(gaps))
-    if not gaps[worst] <= TWIST_TOL:  # NaN fails too
-        raise TwistRouteMismatch(twisted[worst], via_form[worst])
+    check_twist_routes(raw, twisted, via_form)
     return raw, twisted
 
 
@@ -283,13 +269,16 @@ def check_equivariance(
         )
     target = flow(p.endpoint, t, alpha)
     q = linearize(target, p.basepoint, extended, alpha, battery=p.battery, eps_res=eps_res)
-    gen = generator(alpha, battery=p.battery, eps_res=eps_res)
-    return float(np.max(np.abs(q.table - p.table - gen.vector * t)))
+    # the generator times t: alpha t on the dx entries, 0 elsewhere; the
+    # linearize above has already checked the divisors
+    shift = np.zeros(len(p.battery))
+    shift[: alpha.d] = alpha.alpha * t
+    return float(np.max(np.abs(q.table - p.table - shift)))
 
 
-def albanese(p: LinearizationPoint) -> AlbanesePoint:
-    """The dx entries of the table, reduced mod 1."""
-    return AlbanesePoint(coords=reduce_mod1(p.table[: p.battery.d]))
+def albanese(p: LinearizationPoint) -> TorusPoint:
+    """The dx entries of the table, as a point of the torus (reduced mod 1)."""
+    return TorusPoint(p.table[: p.battery.d])
 
 
 def _theta_probes(alpha: DirectionVector, battery: Battery):

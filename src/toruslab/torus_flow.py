@@ -1,10 +1,11 @@
-"""Points, lifts and linear flows on the d-torus.
+"""Points and linear flows on the d-torus.
 
-The flow is x -> x + t*alpha (mod 1). The quality of the direction vector
-alpha decides everything downstream, so this module also carries the
-arithmetic toolkit: resonance search on finite lattice balls, finite-ball
-Diophantine certificates, and fast-approximable (Liouville-type) directions
-built from decimal schedules.
+The flow is x -> x + t*alpha (mod 1): lifts to R^d are plain coordinate
+arrays, and a TorusPoint is a lift reduced mod 1. The quality of the
+direction vector alpha decides everything downstream, so this module also
+carries the arithmetic toolkit: resonance search on finite lattice balls,
+finite-ball Diophantine certificates, and fast-approximable (Liouville-type)
+directions built from decimal schedules.
 
 All functions are pure; the domain objects are immutable after construction.
 """
@@ -62,33 +63,6 @@ class TorusPoint:
 
     def __repr__(self) -> str:
         return f"TorusPoint({self.coords.tolist()})"
-
-
-class LiftPoint:
-    """A point of R^d remembering which fundamental-domain copy it is in."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = np.asarray(coords, dtype=float).copy()
-        if coords.ndim != 1 or coords.size < 1:
-            raise ValueError("a lift point needs a nonempty coordinate vector")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("lift coordinates must be finite")
-        self.coords = coords
-
-    @property
-    def d(self) -> int:
-        return self.coords.size
-
-    def project(self) -> TorusPoint:
-        return TorusPoint(self.coords)
-
-    def translate(self, vec) -> "LiftPoint":
-        return LiftPoint(self.coords + np.asarray(vec, dtype=float))
-
-    def __repr__(self) -> str:
-        return f"LiftPoint({self.coords.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -169,16 +143,14 @@ class DirectionVector:
         return f"DirectionVector({self.alpha.tolist()})"
 
 
-def flow_lift(x: LiftPoint, t: float, alpha: DirectionVector) -> LiftPoint:
-    """Lifted flow: x + t*alpha in R^d, displacement retained."""
-    return LiftPoint(x.coords + float(t) * alpha.alpha)
-
-
 def flow(x: TorusPoint, t: float, alpha: DirectionVector) -> TorusPoint:
-    """Time-t flow on the torus, computed through the lift."""
+    """Time-t flow on the torus: the lift x + t*alpha, reduced mod 1."""
     if x.d != alpha.d:
         raise ValueError("point and direction dimensions disagree")
-    return flow_lift(LiftPoint(x.coords), t, alpha).project()
+    lift = x.coords + float(t) * alpha.alpha
+    if not np.all(np.isfinite(lift)):
+        raise ValueError("lift coordinates must be finite")
+    return TorusPoint(lift)
 
 
 def _half_ball_blocks(d: int, radius: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:

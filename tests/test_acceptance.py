@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 from toruslab.currents import (
-    CurrentHandle,
     evaluate,
     evaluate_family,
     evaluate_twisted,
-    twist,
 )
 from toruslab.curves import (
     boundaries_equal,
@@ -155,9 +153,8 @@ def test_criterion_5_twist_identities():
     worst_loop = 0.0
     for _ in range(100):
         loop = random_loop(rng, random_point(rng), max_winding=2)
-        LT = twist(CurrentHandle(loop), GOLDEN)
         for _, form in BATTERY:
-            gap = abs(evaluate_twisted(LT, form) - evaluate(LT.base, form))
+            gap = abs(evaluate_twisted(loop, form, GOLDEN) - evaluate(loop, form))
             worst_loop = max(worst_loop, gap)
     worst_exact = 0.0
     for _ in range(100):
@@ -165,9 +162,8 @@ def test_criterion_5_twist_identities():
         curve = random_path(rng, x, y, GOLDEN)
         if curve.is_closed or curve.is_trivial:
             curve = straight_path(x, (y + 0.25) % 1.0)
-        LT = twist(CurrentHandle(curve), GOLDEN)
         df = exterior_derivative(random_trig_poly(rng, cutoff=5))
-        worst_exact = max(worst_exact, abs(evaluate_twisted(LT, df)))
+        worst_exact = max(worst_exact, abs(evaluate_twisted(curve, df, GOLDEN)))
     ok = worst_loop < 1e-9 and worst_exact < 1e-9
     report(
         5,
@@ -269,8 +265,7 @@ def test_criterion_9_stokes_consistency():
         x, y = random_point(rng), random_point(rng)
         curve = random_path(rng, x, y, GOLDEN, n_hops=int(rng.integers(1, 4)))
         f = random_trig_poly(rng, cutoff=8)
-        T = CurrentHandle(curve)
-        lhs = evaluate(T, exterior_derivative(f))
+        lhs = evaluate(curve, exterior_derivative(f))
         rhs = f(TorusPoint(curve.end_lift)) - f(TorusPoint(curve.start_lift))
         worst = max(worst, abs(lhs - rhs))
     report(

@@ -284,6 +284,9 @@ RECORDED_SHA256 = {
     "linearize-demo-csv": "4cad67a0031be1d5db7e1f09e769d195bb527c247330170e5fc36dc4f743552d",
     "linearize-demo-json": "d515efddda95ede00cddd8d67e7e98cec27cc5f0298ca79625350b825fa1b70c",
     "equivariance-test": "071469f766eb4a2300c0b2953294826cda479b34bfd2d1939b52abc7a41dfd7b",
+    "solve-cohomology": "84cecbe7e021524cdb2d68bc1a210f4d9c5cf47e0541a1034d184a3ac837a73e",
+    "diophantine-check": "a3821e41aab9e995d8e9063c179a46612cb6645ad69aabf19d7b2ac7cfdfcce7",
+    "liouville-sweep": "38c485ddcf8633621fff8f46ee879367d3ab715c210cd61d44bb1c7a4fc5420a",
 }
 
 
@@ -305,6 +308,13 @@ def test_outputs_match_recorded_bytes(files, capsys, tmp_path):
             "equivariance-test", "--alpha", files["golden.json"],
             "--cutoff", "2", "--samples", "2", "--seed", "4",
         ],
+        "solve-cohomology": [
+            "solve-cohomology", "--alpha", files["golden.json"], "--function", files["cos.json"],
+        ],
+        "diophantine-check": [
+            "diophantine-check", "--alpha", files["golden.json"], "--radius", "200", "--tau", "1",
+        ],
+        "liouville-sweep": ["liouville-sweep"],
     }
     digests = {}
     for name, argv in corpus.items():
@@ -342,3 +352,34 @@ def test_non_finite_input_exits_two(command, files, capsys, tmp_path):
     record = json.loads(err)
     assert record["error"] == "SchemaError"
     assert "non-finite" in record["message"]
+
+
+BAD_NUMERIC_FLAGS = [
+    ["diophantine-check", "--tau", "nan"],
+    ["diophantine-check", "--tau", "-1"],
+    ["diophantine-check", "--tau", "inf"],
+    ["diophantine-check", "--eps-res", "nan"],
+    ["diophantine-check", "--eps-res", "-0.5"],
+    ["linearize-demo", "--basepoint", "inf,0"],
+    ["linearize-demo", "--basepoint", "nan,0"],
+    ["equivariance-test", "--basepoint", "inf,0"],
+    ["equivariance-test", "--basepoint", "nan,0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_FLAGS, ids=" ".join)
+def test_malformed_numeric_flag_exits_two(argv, files, capsys):
+    code, out, err = run(capsys, [*argv, "--alpha", files["golden.json"]])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+def test_near_resonant_direction_passes_twist_check(files, capsys, tmp_path):
+    # |3 alpha_2 - 1| = 3e-6: the twisted values reach 4e3, and the two
+    # routes differ by 2e-10 absolute but 4e-14 relative
+    near = tmp_path / "near.json"
+    near.write_text('{"d": 2, "alpha": ["1", "0.333334333333"]}\n')
+    code, out, err = run(
+        capsys, ["equivariance-test", "--alpha", str(near), "--cutoff", "3", "--samples", "5"]
+    )
+    assert code == 0 and err == ""

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslab import linearization
+from toruslab import currents
 from toruslab.cli import main
-from toruslab.currents import CurrentHandle, evaluate, evaluate_twisted, phase_average, twist
+from toruslab.currents import evaluate, evaluate_twisted, phase_average
 from toruslab.curves import PiecewiseCurve, concatenate
 from toruslab.errors import (
     BasepointMismatch,
@@ -77,9 +77,8 @@ def test_loop_path_reads_raw_loop_integrals():
         [0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [-0.25, 0.0], [0.0, -0.25]
     )
     p = lin(ORIGIN, loop)
-    T = CurrentHandle(loop)
     for fid, form in BATTERY2:
-        assert p.evaluations[fid] == pytest.approx(evaluate(T, form), abs=1e-12)
+        assert p.evaluations[fid] == pytest.approx(evaluate(loop, form), abs=1e-12)
 
 
 def test_flow_path_reads_generator_times_t():
@@ -114,10 +113,9 @@ def test_path_difference_is_the_closing_loop():
     p1 = lin(y, tpath([0.0, 0.0], [0.3, 0.4]))
     p2 = lin(y, tpath([0.0, 0.0], [0.0, 0.4], [0.3, 0.0]))
     closing = concatenate(p1.path, p2.path.reverse())
-    T = CurrentHandle(closing)
     for fid, form in BATTERY2:
         gap = p1.evaluations[fid] - p2.evaluations[fid]
-        assert gap == pytest.approx(evaluate(T, form), abs=1e-10)
+        assert gap == pytest.approx(evaluate(closing, form), abs=1e-10)
 
 
 # --- generator ---
@@ -289,9 +287,7 @@ def test_probe_near_coincident_endpoints_use_theta_form():
     assert report.form == "theta[cos[0,1],1,2]"
     g = TrigPoly.cosine((0, 1))
     theta = OneForm([-float(GOLDEN.alpha[1]) * g, float(GOLDEN.alpha[0]) * g])
-    gap = evaluate_twisted(twist(CurrentHandle(path1), GOLDEN), theta) - evaluate_twisted(
-        twist(CurrentHandle(path2), GOLDEN), theta
-    )
+    gap = evaluate_twisted(path1, theta, GOLDEN) - evaluate_twisted(path2, theta, GOLDEN)
     assert report.gap == pytest.approx(abs(gap), abs=1e-12)
 
 
@@ -328,11 +324,9 @@ def test_kernel_matches_per_form_route(d, cutoff, data):
     battery = build_battery(d, cutoff)
     p = linearize(path.end, path.start, path, alpha, battery=battery)
     gen = generator(alpha, battery=battery)
-    T = CurrentHandle(path)
-    LT = twist(T, alpha)
     for i, (fid, form) in enumerate(battery):
-        assert p.raw[i] == pytest.approx(evaluate(T, form), abs=1e-10), fid
-        assert p.table[i] == pytest.approx(evaluate_twisted(LT, form), abs=1e-10), fid
+        assert p.raw[i] == pytest.approx(evaluate(path, form), abs=1e-10), fid
+        assert p.table[i] == pytest.approx(evaluate_twisted(path, form, alpha), abs=1e-10), fid
         assert gen.vector[i] == pytest.approx(solve_for_form(form, alpha).c, abs=1e-10), fid
 
 
@@ -340,10 +334,9 @@ def test_resonant_mode_matches_per_form_route(tmp_path, capsys):
     alpha = DirectionVector.from_decimals(["1", "-0.5"])  # (1, 2) and (2, 4) resonate
     battery = build_battery(2, cutoff=4)
     path = tpath([0.0, 0.0], [0.3, 0.4])
-    LT = twist(CurrentHandle(path), alpha)
     with pytest.raises(ResonantMode) as per_form:
         for _, form in battery:
-            evaluate_twisted(LT, form)
+            evaluate_twisted(path, form, alpha)
     assert per_form.value.n == (1, 2)
     with pytest.raises(ResonantMode) as kernel:
         linearize(TorusPoint([0.3, 0.4]), ORIGIN, path, alpha, battery=battery)
@@ -362,7 +355,7 @@ def test_resonant_mode_matches_per_form_route(tmp_path, capsys):
 
 
 def test_kernel_twist_routes_apart_raise(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(linearization, "phase_average", lambda u: 2.0 * phase_average(u))
+    monkeypatch.setattr(currents, "phase_average", lambda u: 2.0 * phase_average(u))
     path = tpath([0.0, 0.0], [0.3, 0.4])
     with pytest.raises(TwistRouteMismatch):
         lin(TorusPoint([0.3, 0.4]), path)
@@ -385,5 +378,5 @@ def test_deck_shift_leaves_table_unchanged():
     assert np.max(np.abs(p.table - q.table)) <= 1e-12
     assert np.max(np.abs(p.raw - q.raw)) <= 1e-12
     for _, form in battery:
-        gap = evaluate(CurrentHandle(base), form) - evaluate(CurrentHandle(shifted), form)
+        gap = evaluate(base, form) - evaluate(shifted, form)
         assert abs(gap) <= 1e-12

@@ -15,13 +15,11 @@ from hypothesis import strategies as st
 from toruslab.errors import BadSchedule, ResonanceFound
 from toruslab.torus_flow import (
     DirectionVector,
-    LiftPoint,
     TorusPoint,
     certify_diophantine,
     circle_dist,
     find_resonances,
     flow,
-    flow_lift,
     liouville_vector,
     reduce_mod1,
 )
@@ -60,12 +58,6 @@ def test_flow_golden_t2_matches_high_precision_value():
     y = flow(TorusPoint([0.0, 0.0]), 2.0, GOLDEN)
     assert abs(y.coords[0] - 0.0) < 1e-12
     assert abs(y.coords[1] - expected) < 1e-12
-
-
-def test_flow_lift_retains_displacement():
-    z = flow_lift(LiftPoint([0.0, 0.0]), 2.0, GOLDEN)
-    assert z.coords[0] == 2.0
-    assert abs(z.coords[1] - 2.0 * GOLDEN.alpha[1]) < 1e-15
 
 
 @settings(max_examples=60, deadline=None)

@@ -440,38 +440,29 @@ def maximal_excision(family: CurveFamily, tol: float = MATCH_TOL) -> CurveFamily
     raise RuntimeError("excision did not terminate; this should be impossible")
 
 
-def _merge(atoms: Iterable[tuple], tol: float) -> list[list]:
-    """Sum the weights of atoms within tol of each other on the torus.
-
-    The one merge of signed point masses: each (point or coordinates,
-    weight) atom joins the first kept atom within tol (mod 1), else starts
-    a new one. Returns [coords, weight] pairs with coordinates reduced mod 1.
-    """
-    merged: list[list] = []
-    for point, weight in atoms:
-        red = reduce_mod1(getattr(point, "coords", point))
-        for atom in merged:
-            if circle_dist(atom[0], red) <= tol:
-                atom[1] += weight
-                break
-        else:
-            merged.append([red, float(weight)])
-    return merged
-
-
 class ZeroCurrent:
     """A signed finite point mass on the torus (a current of degree zero).
 
     Atoms are (point, weight) pairs; points may be TorusPoints or coordinate
-    vectors. Atoms within tol of each other (mod 1) are merged, weights of
-    at most 1e-9 are dropped, so the empty mass is falsy, and the rest are
-    sorted by coordinates.
+    vectors. This is the one merge of signed point masses: each atom joins
+    the first kept atom within TORUS_TOL (mod 1), else starts a new one.
+    Weights of at most 1e-9 are then dropped, so the empty mass is falsy,
+    and the rest are sorted by coordinates.
     """
 
     __slots__ = ("atoms",)
 
-    def __init__(self, atoms=(), tol: float = TORUS_TOL):
-        kept = [(TorusPoint(c), w) for c, w in _merge(atoms, tol) if abs(w) > 1e-9]
+    def __init__(self, atoms=()):
+        merged: list[list] = []
+        for point, weight in atoms:
+            red = reduce_mod1(getattr(point, "coords", point))
+            for atom in merged:
+                if circle_dist(atom[0], red) <= TORUS_TOL:
+                    atom[1] += weight
+                    break
+            else:
+                merged.append([red, float(weight)])
+        kept = [(TorusPoint(c), w) for c, w in merged if abs(w) > 1e-9]
         kept.sort(key=lambda pw: tuple(pw[0].coords.tolist()))
         self.atoms = tuple(kept)
 
@@ -489,20 +480,18 @@ class ZeroCurrent:
         return f"ZeroCurrent({terms or '0'})"
 
 
-def boundary_multiset(
-    family: CurveFamily | PiecewiseCurve, tol: float = TORUS_TOL
-) -> ZeroCurrent:
+def boundary_multiset(family: CurveFamily | PiecewiseCurve) -> ZeroCurrent:
     """The boundary: sum over curves of the point mass end - start.
 
-    Coincident points (mod 1, within tol) cancel, so a closed curve has
+    Coincident points (mod 1, within TORUS_TOL) cancel, so a closed curve has
     the empty boundary.
     """
     curves = family.curves if isinstance(family, CurveFamily) else (family,)
     return ZeroCurrent(
-        [atom for c in curves for atom in ((c.end_lift, 1.0), (c.start_lift, -1.0))], tol
+        [atom for c in curves for atom in ((c.end_lift, 1.0), (c.start_lift, -1.0))]
     )
 
 
-def boundaries_equal(b1: ZeroCurrent, b2: ZeroCurrent, tol: float = TORUS_TOL) -> bool:
-    """Equality of two signed point masses, mod 1 within tol."""
-    return not ZeroCurrent([*b1.atoms, *((p, -w) for p, w in b2.atoms)], tol)
+def boundaries_equal(b1: ZeroCurrent, b2: ZeroCurrent) -> bool:
+    """Equality of two signed point masses, mod 1 within TORUS_TOL."""
+    return not ZeroCurrent([*b1.atoms, *((p, -w) for p, w in b2.atoms)])

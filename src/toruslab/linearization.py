@@ -271,9 +271,9 @@ def check_equivariance(
     q = linearize(target, p.basepoint, extended, alpha, battery=p.battery, eps_res=eps_res)
     # the generator times t: alpha t on the dx entries, 0 elsewhere; the
     # linearize above has already checked the divisors
-    shift = np.zeros(len(p.battery))
-    shift[: alpha.d] = alpha.alpha * t
-    return float(np.max(np.abs(q.table - p.table - shift)))
+    gap = q.table - p.table
+    gap[: alpha.d] -= alpha.alpha * t
+    return float(np.max(np.abs(gap)))
 
 
 def albanese(p: LinearizationPoint) -> TorusPoint:

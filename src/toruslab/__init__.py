@@ -37,7 +37,6 @@ from .spectral import (
     contract_with_flow,
     exterior_derivative,
     lie_derivative,
-    sobolev_norm,
     solve_cohomological,
     solve_for_form,
 )
@@ -57,11 +56,8 @@ from .currents import (
     evaluate,
     evaluate_family,
     evaluate_twisted,
-    is_loop_current,
-    project_pi_x,
 )
 from .linearization import (
-    BatteryTable,
     LinearizationPoint,
     SeparationReport,
     albanese,

@@ -54,7 +54,7 @@ COMMANDS = tuple(_OUT_NAMES)
 
 @dataclass
 class ExperimentConfig:
-    """One CLI invocation, normalized."""
+    """One CLI invocation, normalized; its field defaults are the flag defaults."""
 
     command: str
     alpha_path: str | None = None
@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise SchemaError("cutoff must be >= 1")
         if self.samples < 1:
             raise SchemaError("samples must be >= 1")
+        if self.seed < 0:
+            raise SchemaError("seed must be >= 0")
         if self.fmt not in ("json", "csv"):
             raise SchemaError("format must be json or csv")
         # NaN fails every comparison, so these reject it too
@@ -189,6 +191,8 @@ def _cmd_excise(config: ExperimentConfig) -> int:
 def _demo_curves(config: ExperimentConfig, alpha):
     if config.curve_path is not None:
         family = jsonio.load_family(config.curve_path)
+        if any(c.d != alpha.d for c in family):
+            raise SchemaError("curve dimension does not match alpha")
         return list(family)
     rng = np.random.default_rng(config.seed)
     x = _basepoint(config, alpha.d)
@@ -205,10 +209,7 @@ def _cmd_linearize_demo(config: ExperimentConfig) -> int:
     rows = []
     points = []
     for i, curve in enumerate(curves):
-        p = linearize(
-            curve.end, curve.start, curve, alpha,
-            battery=battery, eps_res=config.eps_res,
-        )
+        p = linearize(curve, alpha, battery, eps_res=config.eps_res)
         rows.extend(
             (f"curve{i}", fid, fnum(raw), fnum(twisted))
             for fid, raw, twisted in zip(battery.ids, p.raw, p.table)
@@ -247,7 +248,7 @@ def _cmd_equivariance(config: ExperimentConfig) -> int:
         y = random_point(rng, alpha.d)
         t = float(rng.uniform(-10.0, 10.0))
         path = random_path(rng, x, y, alpha)
-        p = linearize(y, x, path, alpha, battery=battery, eps_res=config.eps_res)
+        p = linearize(path, alpha, battery, eps_res=config.eps_res)
         worst = max(worst, check_equivariance(p, t, alpha, eps_res=config.eps_res))
     _emit(config, payload={
         "equivariance_max_gap": fnum(worst),
@@ -322,34 +323,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, *, alpha=False, function=False, curve=False,
             sweep=False, battery=False, sampled=False, schedule=False):
-        cmd = sub.add_parser(name, help=help_text)
+        # flags left out stay unset, so ExperimentConfig supplies the defaults
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if alpha:
-            cmd.add_argument("--alpha", required=True, help="direction JSON file")
+            cmd.add_argument("--alpha", dest="alpha_path", metavar="ALPHA", required=True,
+                             help="direction JSON file")
             cmd.add_argument(
-                "--eps-res", type=float, default=RESONANCE_EPS,
-                help="relative resonance threshold (default %(default)g)",
+                "--eps-res", type=float,
+                help=f"relative resonance threshold (default {RESONANCE_EPS:g})",
             )
         if function:
-            cmd.add_argument("--function", required=True, help="trig poly JSON file")
+            cmd.add_argument("--function", dest="function_path", metavar="FUNCTION",
+                             required=True, help="trig poly JSON file")
         if curve:
-            cmd.add_argument("--curve", required=name == "excise",
-                             help="curve family JSON file")
+            cmd.add_argument("--curve", dest="curve_path", metavar="CURVE",
+                             required=name == "excise", help="curve family JSON file")
         if sweep:
-            cmd.add_argument("--radius", type=int, default=None)
-            cmd.add_argument("--tau", type=float, default=None)
+            cmd.add_argument("--radius", type=int)
+            cmd.add_argument("--tau", type=float)
         if battery:
-            cmd.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-            cmd.add_argument("--basepoint", type=_comma_floats, default=None)
+            cmd.add_argument("--cutoff", type=int)
+            cmd.add_argument("--basepoint", type=_comma_floats)
         if sampled:
-            cmd.add_argument("--samples", type=int, default=100)
-            cmd.add_argument("--seed", type=int, default=0)
+            cmd.add_argument("--samples", type=int)
+            cmd.add_argument("--seed", type=int)
         if schedule:
-            cmd.add_argument("--schedule", type=_comma_ints, default=(1, 2, 6, 24))
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument(
-            "--format", choices=("json", "csv"),
-            default="csv" if name in ("linearize-demo", "liouville-sweep") else "json",
-        )
+            cmd.add_argument("--schedule", type=_comma_ints)
+        cmd.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+        cmd.add_argument("--format", dest="fmt", choices=("json", "csv"))
+        if name in ("linearize-demo", "liouville-sweep"):
+            cmd.set_defaults(fmt="csv")
         return cmd
 
     add("diophantine-check", "sweep a lattice ball for small divisors",
@@ -366,30 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    return ExperimentConfig(
-        command=args.command,
-        alpha_path=get("alpha"),
-        function_path=get("function"),
-        curve_path=get("curve"),
-        radius=get("radius"),
-        tau=get("tau"),
-        cutoff=get("cutoff", DEFAULT_CUTOFF),
-        samples=get("samples", 100),
-        seed=get("seed", 0),
-        eps_res=get("eps_res", RESONANCE_EPS),
-        schedule=get("schedule", (1, 2, 6, 24)),
-        basepoint=get("basepoint"),
-        out_dir=get("out"),
-        fmt=get("format", "json"),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = ExperimentConfig(**vars(args))
     except SchemaError as exc:
         record = {"error": "SchemaError", "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")

@@ -4,19 +4,19 @@ A curve is read as a current by integration: every function here takes
 the curve itself. Trig-poly one-forms integrate in closed form, one
 exponential kernel per (segment, mode) pair (phase_kernel, shared with the
 battery tabulation of linearization). The boundary of a curve is the signed
-point mass curves.boundary_multiset; on top of it sit the endpoint
-projection and the twisted evaluation, which subtracts the coboundary part
-of a form so only its flow-cohomology class is seen.
+point mass curves.boundary_multiset; on top of it sits the twisted
+evaluation, which subtracts the coboundary part of a form so only its
+flow-cohomology class is seen.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import CurveFamily, PiecewiseCurve, ZeroCurrent, boundaries_equal, boundary_multiset
-from .errors import BasepointMismatch, TwistRouteMismatch
+from .curves import CurveFamily, PiecewiseCurve, boundary_multiset
+from .errors import TwistRouteMismatch
 from .spectral import OneForm, exterior_derivative, solve_for_form
-from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint, circle_dist, reduce_mod1
+from .torus_flow import RESONANCE_EPS, DirectionVector, reduce_mod1
 
 SERIES_CUTOFF = 1e-4   # |u| below this evaluates E(u) by Taylor series
 TWIST_TOL = 1e-10      # twisted routes must agree to this, relative to their largest term
@@ -92,30 +92,6 @@ def evaluate(curve: PiecewiseCurve, eta: OneForm) -> float:
 def evaluate_family(family: CurveFamily, eta: OneForm) -> float:
     """Sum of the member currents, the current of a curve family."""
     return float(sum(evaluate(c, eta) for c in family))
-
-
-def project_pi_x(curve: PiecewiseCurve, x: TorusPoint) -> ZeroCurrent:
-    """The affine endpoint projection: boundary plus the mass at x.
-
-    For a curve starting at x the two start terms cancel, leaving the
-    endpoint mass alone, so homotopy class information is discarded.
-    """
-    if circle_dist(curve.start_lift, x.coords) > 1e-12:
-        raise BasepointMismatch(
-            "projection basepoint does not match the curve start"
-        )
-    return ZeroCurrent([(curve.end, 1.0)])
-
-
-def is_loop_current(c1: PiecewiseCurve, c2: PiecewiseCurve) -> bool:
-    """True when c1 - c2 closes up into a loop current.
-
-    Requires a common basepoint; then the difference is a loop current
-    exactly when the boundaries agree, i.e. the endpoints coincide.
-    """
-    if circle_dist(c1.start_lift, c2.start_lift) > 1e-12:
-        raise BasepointMismatch("loop-current test needs a common basepoint")
-    return boundaries_equal(boundary_multiset(c1), boundary_multiset(c2))
 
 
 def evaluate_twisted(curve: PiecewiseCurve, eta: OneForm, alpha: DirectionVector,

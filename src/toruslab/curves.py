@@ -1,14 +1,15 @@
 """Polygonal curve words on the torus and the retraced-arc excision calculus.
 
 A curve is three arrays: a basepoint lift (d,), one displacement per
-segment (S, d), and a flow mask (S,) marking the pieces parallel to the
-direction vector (the others are transverse). Segment start lifts are the
-running sums of the displacements from the basepoint, so consecutive
-segments are incident by construction. Everything below works on index
-ranges of those arrays. Retraced-arc detection works modulo the integer
-lattice: an arc and its reversal may sit in different fundamental-domain
-copies. The boundary of a curve or family is a ZeroCurrent, the one signed
-point-mass type of the package.
+segment (S, d), and a flow mask (S,) labelling each piece flow or
+transverse. A curve does not know the direction vector, so the labels are
+taken as given; two pieces match in excision only if their labels agree.
+Segment start lifts are the running sums of the displacements from the
+basepoint, so consecutive segments are incident by construction.
+Everything below works on index ranges of those arrays. Retraced-arc
+detection works modulo the integer lattice: an arc and its reversal may
+sit in different fundamental-domain copies. The boundary of a curve or
+family is a ZeroCurrent, the one signed point-mass type of the package.
 
 Matching is exact up to MATCH_TOL = 1e-12; synthetic inputs realize their
 coincidences exactly, near misses are left alone. When a retraced overlap
@@ -24,11 +25,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EndpointMismatch, StaleLocation
-from .torus_flow import TORUS_TOL, DirectionVector, TorusPoint, circle_dist, reduce_mod1
+from .torus_flow import TORUS_TOL, TorusPoint, circle_dist, reduce_mod1
 
 MATCH_TOL = 1e-12      # retraced arcs must coincide to this, lift and mod 1
 MIN_OVERLAP = 1e-9     # anti-parallel overlaps shorter than this are noise
-COLLINEAR_TOL = 1e-9   # sine of the angle separating flow from transverse
 _FRACTION_TOL = 1e-9   # split points closer than this to 0/1 are dropped
 
 _KINDS = ("flow", "transverse")
@@ -36,17 +36,7 @@ _KINDS = ("flow", "transverse")
 _PROBLEMS = (
     f"kind must be one of {_KINDS}",
     "segment displacement must be nonzero",
-    "flow step is not collinear with the direction",
-    "transverse step is collinear with the direction",
 )
-
-
-def _sine_angles(v: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Per row of v, the sine of its angle to direction (0 for zero rows)."""
-    u = direction / np.linalg.norm(direction)
-    rest = np.linalg.norm(v - np.outer(v @ u, u), axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    return np.divide(rest, nv, out=np.zeros_like(nv), where=nv > 0.0)
 
 
 class PiecewiseCurve:
@@ -54,19 +44,16 @@ class PiecewiseCurve:
 
     Held as basepoint_lift (d,), displacements (S, d) and flow (S,); starts
     and end_lift are the running sums of the displacements. Treated as
-    immutable; every operation returns a new curve. The empty word is the
-    trivial curve at its basepoint.
+    immutable; every operation returns a new curve. The empty word,
+    PiecewiseCurve(x), is the trivial curve at x.
     """
 
     __slots__ = ("basepoint_lift", "displacements", "flow", "_lifts")
 
-    def __init__(self, basepoint_lift, displacements=(), kinds=(),
-                 alpha: DirectionVector | None = None):
+    def __init__(self, basepoint_lift, displacements=(), kinds=()):
         """kinds is a kind name per segment, or the flow mask itself.
 
-        Every segment is checked in one pass: known kind, nonzero step and,
-        with alpha given, flow steps collinear with it and transverse steps
-        not.
+        Every segment is checked in one pass: known kind and nonzero step.
         """
         bp = np.array(getattr(basepoint_lift, "coords", basepoint_lift), dtype=float)
         if bp.ndim != 1 or bp.size < 1:
@@ -84,11 +71,7 @@ class PiecewiseCurve:
             unknown = np.array([k not in _KINDS for k in names], dtype=bool)
         if flow.shape != (len(disps),):
             raise ValueError("kinds must name every segment")
-        problems = [unknown, np.max(np.abs(disps), axis=1, initial=0.0) < 1e-15]
-        if alpha is not None:
-            collinear = _sine_angles(disps, alpha.alpha) <= COLLINEAR_TOL
-            problems += [flow & ~collinear, ~flow & collinear]
-        bad = np.stack(problems)
+        bad = np.stack([unknown, np.max(np.abs(disps), axis=1, initial=0.0) < 1e-15])
         if bad.any():
             first = int(np.argmax(bad.any(axis=0)))
             raise ValueError(_PROBLEMS[int(np.argmax(bad[:, first]))])
@@ -99,15 +82,11 @@ class PiecewiseCurve:
         self.basepoint_lift, self.displacements, self.flow, self._lifts = bp, disps, flow, lifts
 
     @classmethod
-    def from_steps(cls, basepoint_lift, steps: Iterable[tuple[str, Sequence[float]]],
-                   alpha: DirectionVector | None = None) -> "PiecewiseCurve":
+    def from_steps(cls, basepoint_lift,
+                   steps: Iterable[tuple[str, Sequence[float]]]) -> "PiecewiseCurve":
         """Build from (kind, displacement) steps, validated as the constructor does."""
         steps = list(steps)
-        return cls(basepoint_lift, [v for _, v in steps], [k for k, _ in steps], alpha)
-
-    @classmethod
-    def trivial(cls, basepoint_lift) -> "PiecewiseCurve":
-        return cls(basepoint_lift)
+        return cls(basepoint_lift, [v for _, v in steps], [k for k, _ in steps])
 
     @property
     def d(self) -> int:
@@ -169,14 +148,14 @@ class PiecewiseCurve:
         )
 
 
-def concatenate(g1: PiecewiseCurve, g2: PiecewiseCurve, tol: float = TORUS_TOL) -> PiecewiseCurve:
+def concatenate(g1: PiecewiseCurve, g2: PiecewiseCurve) -> PiecewiseCurve:
     """g1 followed by g2; g2's lifts are rebased onto g1's end lift.
 
-    The junction must agree on the torus within tol.
+    The junction must agree on the torus within TORUS_TOL.
     """
     if g1.d != g2.d:
         raise ValueError("dimension mismatch")
-    if circle_dist(g1.end_lift, g2.start_lift) > tol:
+    if circle_dist(g1.end_lift, g2.start_lift) > TORUS_TOL:
         raise EndpointMismatch(
             f"cannot concatenate: gap {circle_dist(g1.end_lift, g2.start_lift):.3e}"
         )
@@ -310,7 +289,7 @@ def _split_family(family: CurveFamily) -> CurveFamily:
     return CurveFamily(new_curves)
 
 
-def _reverse_match_table(ca: PiecewiseCurve, cb: PiecewiseCurve, tol: float) -> np.ndarray:
+def _reverse_match_table(ca: PiecewiseCurve, cb: PiecewiseCurve) -> np.ndarray:
     """anti[p, q] is True when segment q of cb is the exact reversal of
     segment p of ca, up to a deck translate."""
     da, db = ca.displacements, cb.displacements
@@ -322,10 +301,10 @@ def _reverse_match_table(ca: PiecewiseCurve, cb: PiecewiseCurve, tol: float) -> 
     delta = np.abs(starts[:, None, :] - ends[None, :, :]) % 1.0
     pos_gap = np.max(np.minimum(delta, 1.0 - delta), axis=-1)
     kind_ok = ca.flow[:, None] == cb.flow[None, :]
-    return (disp_gap <= tol) & (pos_gap <= tol) & kind_ok
+    return (disp_gap <= MATCH_TOL) & (pos_gap <= MATCH_TOL) & kind_ok
 
 
-def find_retraced_arc(family: CurveFamily, tol: float = MATCH_TOL) -> RetracedArcLocation | None:
+def find_retraced_arc(family: CurveFamily) -> RetracedArcLocation | None:
     """Longest retraced arc in the family, None when there is none.
 
     Segments are first split at every anti-parallel overlap boundary, so the
@@ -337,7 +316,7 @@ def find_retraced_arc(family: CurveFamily, tol: float = MATCH_TOL) -> RetracedAr
     best = None  # (-arc_len, ca, pa, cb, qb, m)
     for i in range(len(split)):
         for j in range(i, len(split)):
-            anti = _reverse_match_table(split[i], split[j], tol)
+            anti = _reverse_match_table(split[i], split[j])
             if not anti.any():
                 continue
             lengths = split[i].lengths
@@ -425,7 +404,7 @@ def simple_excision(family: CurveFamily, loc: RetracedArcLocation) -> CurveFamil
     return CurveFamily(result)
 
 
-def maximal_excision(family: CurveFamily, tol: float = MATCH_TOL) -> CurveFamily:
+def maximal_excision(family: CurveFamily) -> CurveFamily:
     """Excise retraced arcs, longest first, until none remain.
 
     Terminates because each step strictly removes twice the arc's length
@@ -433,7 +412,7 @@ def maximal_excision(family: CurveFamily, tol: float = MATCH_TOL) -> CurveFamily
     """
     current = family
     for _ in range(10_000):
-        loc = find_retraced_arc(current, tol)
+        loc = find_retraced_arc(current)
         if loc is None:
             return current
         current = simple_excision(current, loc)

@@ -52,6 +52,13 @@ def _require(obj, key: str, where: str):
     return obj[key]
 
 
+def _dim(obj, where: str) -> int:
+    d = _require(obj, "d", where)
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise SchemaError(f"{where}: d must be an integer >= 1")
+    return d
+
+
 def read_json(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -67,7 +74,7 @@ def read_json(path) -> dict:
 
 
 def direction_from_json(obj, where: str = "direction") -> DirectionVector:
-    d = _require(obj, "d", where)
+    d = _dim(obj, where)
     comps = _require(obj, "alpha", where)
     if not isinstance(comps, list) or len(comps) != d:
         raise SchemaError(f"{where}: alpha must list exactly d components")
@@ -91,7 +98,7 @@ def direction_to_json(alpha: DirectionVector) -> dict:
 
 
 def trig_from_json(obj, where: str = "function") -> TrigPoly:
-    d = _require(obj, "d", where)
+    d = _dim(obj, where)
     entries = _require(obj, "modes", where)
     if not isinstance(entries, list):
         raise SchemaError(f"{where}: modes must be a list")
@@ -100,7 +107,7 @@ def trig_from_json(obj, where: str = "function") -> TrigPoly:
         spot = f"{where}.modes[{i}]"
         n = _require(entry, "n", spot)
         if not isinstance(n, list) or len(n) != d or not all(
-            isinstance(v, int) for v in n
+            isinstance(v, int) and not isinstance(v, bool) for v in n
         ):
             raise SchemaError(f"{spot}: n must list d integers")
         re = _num(entry.get("re", 0.0), spot)
@@ -156,9 +163,11 @@ def family_from_json(obj, where: str = "family") -> CurveFamily:
     entries = _require(obj, "curves", where)
     if not isinstance(entries, list):
         raise SchemaError(f"{where}: curves must be a list")
-    return CurveFamily(
-        [curve_from_json(c, f"{where}.curves[{i}]") for i, c in enumerate(entries)]
-    )
+    curves = [curve_from_json(c, f"{where}.curves[{i}]") for i, c in enumerate(entries)]
+    try:
+        return CurveFamily(curves)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def load_family(path) -> CurveFamily:

@@ -1,26 +1,25 @@
 """The linearization map from torus points to twisted path currents.
 
-Fixing a basepoint x, a point y is represented by a path from x to y,
-twisted so that coboundaries vanish; its identity is the finite table of
-twisted evaluations on a test battery of one-forms. Flowing y for time t
-shifts every table entry by t times the form's flow average, which is the
-equivariance law, and the plain dx entries read off y - x on the torus,
-which is the Albanese projection.
+A point y is represented by a path from the basepoint x to y, so the path
+alone fixes both; it is twisted so that coboundaries vanish, and its
+identity is the finite table of twisted evaluations on a test battery of
+one-forms. Flowing y for time t shifts every table entry by t times the
+form's flow average, which is the equivariance law, and the plain dx
+entries read off y - x on the torus, which is the Albanese projection.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .currents import check_twist_routes, phase_kernel
 from .curves import PiecewiseCurve
-from .errors import BasepointMismatch, EndpointMismatch, ResonantMode, SeparationNotFound
+from .errors import BasepointMismatch, ResonantMode, SeparationNotFound
 from .spectral import OneForm
-from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint, circle_dist, flow
+from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint
 
 DEFAULT_CUTOFF = 3     # battery modulation frequencies up to this sup norm
 SEPARATION_TOL = 1e-9  # evaluation gaps below this never count as separation
@@ -84,48 +83,29 @@ def build_battery(d: int, cutoff: int = DEFAULT_CUTOFF) -> Battery:
     return Battery(d, np.array(canonical_modes(d, cutoff), dtype=np.int64))
 
 
-class BatteryTable(Mapping):
-    """Form id -> value lookups into a vector held in battery order."""
-
-    __slots__ = ("battery", "vector")
-
-    def __init__(self, battery: Battery, vector: np.ndarray):
-        self.battery = battery
-        self.vector = vector
-
-    def __getitem__(self, form_id: str) -> float:
-        return float(self.vector[self.battery.index[form_id]])
-
-    def __iter__(self):
-        return iter(self.battery.ids)
-
-    def __len__(self) -> int:
-        return len(self.battery)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearizationPoint:
     """A point of the target group: the twisted current of a path from x to y.
 
-    table holds the twisted value of every battery form, in battery order;
-    it is the finite shadow of the current and everything downstream reads
-    only this vector. raw holds the untwisted values alongside, and path
-    the representative path itself.
+    table holds the twisted value of every battery form, in battery order
+    (form id fid sits at battery.index[fid]); it is the finite shadow of
+    the current and everything downstream reads only this vector. raw holds
+    the untwisted values alongside, and path the representative path, whose
+    start and end are the basepoint x and the point y.
     """
 
-    endpoint: TorusPoint
     path: PiecewiseCurve
     table: np.ndarray
     raw: np.ndarray
-    basepoint: TorusPoint
     battery: Battery
 
     @property
-    def evaluations(self) -> BatteryTable:
-        return BatteryTable(self.battery, self.table)
+    def basepoint(self) -> TorusPoint:
+        return self.path.start
 
-    def __call__(self, form_id: str) -> float:
-        return self.evaluations[form_id]
+    @property
+    def endpoint(self) -> TorusPoint:
+        return self.path.end
 
 
 @dataclass(frozen=True)
@@ -137,12 +117,6 @@ class SeparationReport:
     form: str | None
     gap: float
     same_class: bool | None  # set only when the endpoints coincide
-
-
-def _as_point(p) -> TorusPoint:
-    if isinstance(p, TorusPoint):
-        return p
-    return TorusPoint(np.asarray(getattr(p, "coords", p), dtype=float))
 
 
 def _divisors(alpha: DirectionVector, battery: Battery, eps_res: float) -> np.ndarray:
@@ -203,48 +177,33 @@ def _tabulate(
 
 
 def linearize(
-    y,
-    x,
     path: PiecewiseCurve,
     alpha: DirectionVector,
-    battery: Battery | None = None,
-    cutoff: int = DEFAULT_CUTOFF,
+    battery: Battery,
     eps_res: float = RESONANCE_EPS,
 ) -> LinearizationPoint:
-    """Twist the path current and tabulate it on the battery.
+    """Twist the current of a path from x to y and tabulate it on the battery.
 
-    The path must run from x to y on the torus; which path is chosen only
-    moves the result by a loop current.
+    Which path from x to y is chosen only moves the result by a loop
+    current.
     """
-    y = _as_point(y)
-    x = _as_point(x)
-    if circle_dist(path.start_lift, x.coords) > 1e-12:
-        raise EndpointMismatch("path does not start at the basepoint")
-    if circle_dist(path.end_lift, y.coords) > 1e-12:
-        raise EndpointMismatch("path does not end at the requested point")
-    if battery is None:
-        battery = build_battery(path.d, cutoff)
     raw, table = _tabulate(path, alpha, battery, eps_res)
-    return LinearizationPoint(y, path, table=table, raw=raw, basepoint=x, battery=battery)
+    return LinearizationPoint(path, table=table, raw=raw, battery=battery)
 
 
 def generator(
-    alpha: DirectionVector,
-    battery: Battery | None = None,
-    cutoff: int = DEFAULT_CUTOFF,
-    eps_res: float = RESONANCE_EPS,
-) -> BatteryTable:
+    alpha: DirectionVector, battery: Battery, eps_res: float = RESONANCE_EPS
+) -> np.ndarray:
     """Flow averages of every battery form: alpha on the dx entries, else 0.
 
-    A modulated form has flow average zero, but it is still obstructed on
-    a resonant mode, so the divisors are checked as the solver would.
+    The vector is in battery order. A modulated form has flow average
+    zero, but it is still obstructed on a resonant mode, so the divisors
+    are checked as the solver would.
     """
-    if battery is None:
-        battery = build_battery(alpha.d, cutoff)
     _divisors(alpha, battery, eps_res)
     values = np.zeros(len(battery))
     values[: alpha.d] = alpha.alpha
-    return BatteryTable(battery, values)
+    return values
 
 
 def check_equivariance(
@@ -267,8 +226,7 @@ def check_equivariance(
             np.vstack([extended.displacements, float(t) * alpha.alpha]),
             np.append(extended.flow, True),
         )
-    target = flow(p.endpoint, t, alpha)
-    q = linearize(target, p.basepoint, extended, alpha, battery=p.battery, eps_res=eps_res)
+    q = linearize(extended, alpha, p.battery, eps_res=eps_res)
     # the generator times t: alpha t on the dx entries, 0 elsewhere; the
     # linearize above has already checked the divisors
     gap = q.table - p.table
@@ -312,13 +270,13 @@ def injectivity_probe(
     A sub-threshold gap everywhere raises SeparationNotFound; a finite
     battery can be inconclusive but never refutes injectivity.
     """
-    if not p1.basepoint.close_to(p2.basepoint, 1e-12):
+    if not p1.basepoint.close_to(p2.basepoint):
         raise BasepointMismatch("probes need a common basepoint")
     if p1.battery.ids != p2.battery.ids:
         raise ValueError("probes need a common battery")
     d = p1.battery.d
     diff = p1.table - p2.table
-    endpoints_differ = not p1.endpoint.close_to(p2.endpoint, 1e-12)
+    endpoints_differ = not p1.endpoint.close_to(p2.endpoint)
 
     if not endpoints_differ:
         worst_at = int(np.argmax(np.abs(diff)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import CurveFamily, PiecewiseCurve
-from .spectral import OneForm, TrigPoly
+from .spectral import TrigPoly
 from .torus_flow import DirectionVector
 
 _MIN_STEP = 1e-3  # resample displacements smaller than this
@@ -31,7 +31,7 @@ def straight_path(x, y) -> PiecewiseCurve:
     """One transverse hop along the shortest displacement; trivial if y = x."""
     step = shortest_displacement(x, y)
     if float(np.max(np.abs(step))) < 1e-12:
-        return PiecewiseCurve.trivial(x)
+        return PiecewiseCurve(x)
     return PiecewiseCurve.from_steps(x, [("transverse", step)])
 
 
@@ -122,14 +122,6 @@ def random_trig_poly(
     if with_mean:
         modes[(0,) * d] = complex(rng.normal(), 0.0)
     return TrigPoly(d, modes)
-
-
-def random_one_form(
-    rng: np.random.Generator, d: int = 2, cutoff: int = 5, n_modes: int = 3
-) -> OneForm:
-    return OneForm(
-        [random_trig_poly(rng, d, cutoff, n_modes) for _ in range(d)]
-    )
 
 
 def _accumulate(basepoint, steps):

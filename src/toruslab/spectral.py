@@ -243,12 +243,3 @@ def exterior_derivative(f: TrigPoly) -> OneForm:
         modes = {n: TWO_PI * 1j * n[j] * c for n, c in f.modes.items() if n[j]}
         comps.append(TrigPoly(f.d, modes))
     return OneForm(comps)
-
-
-def sobolev_norm(f: TrigPoly, s: float) -> float:
-    """(sum over modes of (1 + |n|^2)^s |f_n|^2)^(1/2), Euclidean |n|."""
-    total = 0.0
-    for n, c in f.modes.items():
-        w = 1.0 + float(np.dot(n, n))
-        total += w**s * (abs(c) ** 2)
-    return math.sqrt(total)

@@ -80,7 +80,7 @@ class DiophantineCertificate:
 
 
 class DirectionVector:
-    """Flow direction alpha in R^d plus arithmetic-quality metadata.
+    """Flow direction alpha in R^d, with exact rational components.
 
     Every instance carries exact rational components alongside the float
     ones: exact decimal values when built from decimal strings, exact
@@ -89,15 +89,9 @@ class DirectionVector:
     as small as 1e-18 survive (invisible to a float-only dot).
     """
 
-    __slots__ = ("alpha", "exact", "resonances", "certificate")
+    __slots__ = ("alpha", "exact")
 
-    def __init__(
-        self,
-        alpha: Sequence[float],
-        exact: Sequence[Fraction] | None = None,
-        resonances: Sequence[Sequence[int]] = (),
-        certificate: DiophantineCertificate | None = None,
-    ):
+    def __init__(self, alpha: Sequence[float], exact: Sequence[Fraction] | None = None):
         arr = np.asarray(alpha, dtype=float).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("alpha must be a nonempty vector")
@@ -111,17 +105,11 @@ class DirectionVector:
                 raise ValueError("exact components do not match alpha")
         self.alpha = arr
         self.exact = exact
-        self.resonances = tuple(tuple(int(v) for v in n) for n in resonances)
-        for n in self.resonances:
-            ninf = max(abs(v) for v in n)
-            if abs(self.dot(n)) >= RESONANCE_EPS * max(1, ninf):
-                raise ValueError(f"listed resonance {n} is not below threshold")
-        self.certificate = certificate
 
     @classmethod
-    def from_decimals(cls, strings: Sequence[str], **kw) -> "DirectionVector":
+    def from_decimals(cls, strings: Sequence[str]) -> "DirectionVector":
         exact = tuple(Fraction(s) for s in strings)
-        return cls([float(f) for f in exact], exact=exact, **kw)
+        return cls([float(f) for f in exact], exact=exact)
 
     @classmethod
     def golden(cls) -> "DirectionVector":

@@ -181,7 +181,7 @@ def test_criterion_6_equivariance():
         y = random_point(rng)
         t = float(rng.uniform(-10.0, 10.0))
         path = random_path(rng, ORIGIN, y, GOLDEN)
-        p = linearize(TorusPoint(y), TorusPoint(ORIGIN), path, GOLDEN, battery=BATTERY)
+        p = linearize(path, GOLDEN, BATTERY)
         worst = max(worst, check_equivariance(p, t, GOLDEN))
     report(
         6,
@@ -201,10 +201,7 @@ def test_criterion_7_albanese_semi_conjugacy():
             straight_path(ORIGIN, y),
             path_via(ORIGIN, random_point(rng), y),
         )
-        points = [
-            linearize(TorusPoint(y), TorusPoint(ORIGIN), g, GOLDEN, battery=SMALL_BATTERY)
-            for g in paths
-        ]
+        points = [linearize(g, GOLDEN, SMALL_BATTERY) for g in paths]
         for p in points:
             worst_offset = max(
                 worst_offset,
@@ -213,9 +210,7 @@ def test_criterion_7_albanese_semi_conjugacy():
                 ))),
             )
         looped = concatenate(paths[0], random_loop(rng, y, max_winding=2))
-        p_loop = linearize(
-            TorusPoint(y), TorusPoint(ORIGIN), looped, GOLDEN, battery=SMALL_BATTERY
-        )
+        p_loop = linearize(looped, GOLDEN, SMALL_BATTERY)
         worst_loop_shift = max(
             worst_loop_shift,
             circle_dist(albanese(points[0]).coords, albanese(p_loop).coords),
@@ -238,14 +233,8 @@ def test_criterion_8_injectivity_probes():
         y1, y2 = random_point(rng), random_point(rng)
         if circle_dist(y1, y2) < 1e-6:
             continue
-        p1 = linearize(
-            TorusPoint(y1), TorusPoint(ORIGIN), straight_path(ORIGIN, y1),
-            GOLDEN, battery=SMALL_BATTERY,
-        )
-        p2 = linearize(
-            TorusPoint(y2), TorusPoint(ORIGIN), straight_path(ORIGIN, y2),
-            GOLDEN, battery=SMALL_BATTERY,
-        )
+        p1 = linearize(straight_path(ORIGIN, y1), GOLDEN, SMALL_BATTERY)
+        p2 = linearize(straight_path(ORIGIN, y2), GOLDEN, SMALL_BATTERY)
         rep = injectivity_probe(p1, p2, GOLDEN)
         assert rep.separated and rep.form is not None
         min_gap = min(min_gap, rep.gap)

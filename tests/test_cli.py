@@ -287,6 +287,7 @@ RECORDED_SHA256 = {
     "solve-cohomology": "84cecbe7e021524cdb2d68bc1a210f4d9c5cf47e0541a1034d184a3ac837a73e",
     "diophantine-check": "a3821e41aab9e995d8e9063c179a46612cb6645ad69aabf19d7b2ac7cfdfcce7",
     "liouville-sweep": "38c485ddcf8633621fff8f46ee879367d3ab715c210cd61d44bb1c7a4fc5420a",
+    "linearize-demo-curve": "50e83003a5ba5f6cdf79c3097a3583b9f3285995adda594bd8f963a58de705a2",
 }
 
 
@@ -315,6 +316,10 @@ def test_outputs_match_recorded_bytes(files, capsys, tmp_path):
             "diophantine-check", "--alpha", files["golden.json"], "--radius", "200", "--tau", "1",
         ],
         "liouville-sweep": ["liouville-sweep"],
+        "linearize-demo-curve": [
+            "linearize-demo", "--alpha", files["golden.json"], "--curve", str(planted),
+            "--cutoff", "1", "--format", "json",
+        ],
     }
     digests = {}
     for name, argv in corpus.items():
@@ -364,12 +369,50 @@ BAD_NUMERIC_FLAGS = [
     ["linearize-demo", "--basepoint", "nan,0"],
     ["equivariance-test", "--basepoint", "inf,0"],
     ["equivariance-test", "--basepoint", "nan,0"],
+    ["linearize-demo", "--seed", "-1"],
+    ["equivariance-test", "--seed", "-1"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_NUMERIC_FLAGS, ids=" ".join)
 def test_malformed_numeric_flag_exits_two(argv, files, capsys):
     code, out, err = run(capsys, [*argv, "--alpha", files["golden.json"]])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+_SEGMENT = {"kind": "transverse", "displacement": ["0.3", "0.2"]}
+MALFORMED_INPUTS = {  # id -> (command, input flag, file contents)
+    "function-d-null": ("solve-cohomology", "--function", {"d": None, "modes": []}),
+    "function-d-list": ("solve-cohomology", "--function", {"d": [2], "modes": []}),
+    "function-d-string": ("solve-cohomology", "--function", {"d": "2", "modes": []}),
+    "function-n-bool": ("solve-cohomology", "--function", {
+        "d": 2, "modes": [{"n": [True, 0], "re": "1", "im": "0"}],
+    }),
+    "excise-mixed-dimensions": ("excise", "--curve", {"curves": [
+        {"basepoint": ["0.1", "0.1"], "segments": [_SEGMENT]},
+        {"basepoint": ["0.1", "0.1", "0.1"], "segments": []},
+    ]}),
+    "demo-mixed-dimensions": ("linearize-demo", "--curve", {"curves": [
+        {"basepoint": ["0.1", "0.1"], "segments": [_SEGMENT]},
+        {"basepoint": ["0.1", "0.1", "0.1"], "segments": []},
+    ]}),
+    "demo-curve-not-alpha-dimension": ("linearize-demo", "--curve", {
+        "basepoint": ["0.1", "0.1", "0.1"],
+        "segments": [{"kind": "transverse", "displacement": ["0.3", "0.2", "0.1"]}],
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_exits_two(case, files, capsys, tmp_path):
+    command, flag, payload = MALFORMED_INPUTS[case]
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(payload))
+    argv = [command, flag, str(bad)]
+    if command != "excise":
+        argv += ["--alpha", files["golden.json"]]
+    code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "SchemaError"
 

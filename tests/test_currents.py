@@ -13,24 +13,21 @@ from toruslab.currents import (
     evaluate,
     evaluate_family,
     evaluate_twisted,
-    is_loop_current,
     phase_average,
-    project_pi_x,
 )
 from toruslab.curves import (
     CurveFamily,
     PiecewiseCurve,
     ZeroCurrent,
-    boundaries_equal,
     boundary_multiset,
     concatenate,
     find_retraced_arc,
     maximal_excision,
 )
-from toruslab.errors import BasepointMismatch, ResonantMode, TwistRouteMismatch
+from toruslab.errors import ResonantMode, TwistRouteMismatch
 from toruslab.linearization import build_battery, linearize
 from toruslab.spectral import OneForm, TrigPoly, exterior_derivative
-from toruslab.torus_flow import DirectionVector, TorusPoint
+from toruslab.torus_flow import DirectionVector
 
 GOLDEN = DirectionVector.golden()
 QUAD_BATTERY = build_battery(2, cutoff=1)
@@ -139,7 +136,7 @@ def test_evaluate_matches_quadrature(seed):
     eta = OneForm(comps)
     assert evaluate(curve, eta) == pytest.approx(quadrature(curve, comps), abs=1e-8)
     # the battery table shares evaluate's phase kernel; quad checks it independently
-    raw = linearize(curve.end, curve.start, curve, GOLDEN, battery=QUAD_BATTERY).raw
+    raw = linearize(curve, GOLDEN, QUAD_BATTERY).raw
     for (fid, form), value in zip(QUAD_BATTERY, raw):
         assert value == pytest.approx(quadrature(curve, form.components), abs=1e-8), fid
 
@@ -218,29 +215,6 @@ def test_boundary_pairs_to_zero_with_constants():
     assert boundary_multiset(T).pair(TrigPoly.constant(2, 42.0)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_project_pi_x_maps_to_endpoint_mass():
-    x = TorusPoint([0.1, 0.1])
-    straight = tcurve([0.1, 0.1], [0.3, 0.2])
-    dogleg = tcurve([0.1, 0.1], [0.0, 0.2], [0.3, 0.0])
-    loop = tcurve([0.1, 0.1], [1.0, 0.0])
-    d1 = project_pi_x(straight, x)
-    d2 = project_pi_x(dogleg, x)
-    assert boundaries_equal(d1, d2)
-    assert boundaries_equal(project_pi_x(loop, x), ZeroCurrent([(x, 1.0)]))
-    with pytest.raises(BasepointMismatch):
-        project_pi_x(straight, TorusPoint([0.5, 0.5]))
-
-
-def test_is_loop_current_criterion():
-    straight = tcurve([0.1, 0.1], [0.3, 0.2])
-    dogleg = tcurve([0.1, 0.1], [0.0, 0.2], [0.3, 0.0])
-    other = tcurve([0.1, 0.1], [0.4, 0.4])
-    assert is_loop_current(straight, dogleg)
-    assert not is_loop_current(straight, other)
-    with pytest.raises(BasepointMismatch):
-        is_loop_current(straight, tcurve([0.9, 0.9], [0.1, 0.1]))
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_stokes_consistency(seed):
     rng = np.random.default_rng(400 + seed)
@@ -282,7 +256,7 @@ def test_twist_annihilates_exact_forms():
 def test_flow_segment_against_unit_contraction_form_reads_time():
     s = 0.8375
     seg = PiecewiseCurve.from_steps(
-        [0.31, 0.47], [("flow", s * GOLDEN.alpha)], alpha=GOLDEN
+        [0.31, 0.47], [("flow", s * GOLDEN.alpha)]
     )
     # eta0 = dx1 has eta0(X) = alpha_1 = 1 for the golden direction
     assert evaluate_twisted(seg, OneForm.dx(2, 0), GOLDEN) == pytest.approx(s, abs=1e-12)
@@ -297,7 +271,7 @@ def test_flow_segment_against_unit_contraction_form_reads_time():
 
 
 def test_twisted_trivial_path_evaluates_to_zero():
-    trivial = PiecewiseCurve.trivial([0.3, 0.4])
+    trivial = PiecewiseCurve([0.3, 0.4])
     rng = np.random.default_rng(14)
     eta = OneForm([random_poly(rng), random_poly(rng)])
     assert evaluate_twisted(trivial, eta, GOLDEN) == 0.0
@@ -333,7 +307,7 @@ except TwistRouteMismatch:
 phase_average = currents.phase_average
 currents.phase_average = lambda u: 2.0 * phase_average(u)
 try:
-    linearization.linearize(path.end, path.start, path, alpha)
+    linearization.linearize(path, alpha, linearization.build_battery(2))
 except TwistRouteMismatch:
     raised.append("linearize")
 print(",".join(raised))

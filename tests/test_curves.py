@@ -45,14 +45,9 @@ def test_segment_end_and_reverse():
 
 
 def test_flow_segment_direction():
-    g = PiecewiseCurve.from_steps([0.0, 0.0], [("flow", 2.0 * GOLDEN.alpha)], alpha=GOLDEN)
+    g = PiecewiseCurve.from_steps([0.0, 0.0], [("flow", 2.0 * GOLDEN.alpha)])
     assert g.flow.tolist() == [True]
     assert np.allclose(g.displacements[0], 2.0 * GOLDEN.alpha)
-
-
-def test_transverse_segment_rejects_collinear():
-    with pytest.raises(ValueError, match="transverse step is collinear"):
-        PiecewiseCurve([0.0, 0.0], [0.5 * GOLDEN.alpha], ["transverse"], alpha=GOLDEN)
 
 
 def test_constructor_reports_first_bad_segment():
@@ -62,8 +57,6 @@ def test_constructor_reports_first_bad_segment():
         PiecewiseCurve([0.0, 0.0], disps, ["transverse", "transverse", "spiral"])
     with pytest.raises(ValueError, match="kind must be one of"):
         PiecewiseCurve([0.0, 0.0], disps, ["transverse", "spiral", "transverse"])
-    with pytest.raises(ValueError, match="flow step is not collinear"):
-        PiecewiseCurve([0.0, 0.0], disps[:1], ["flow"], alpha=GOLDEN)
     with pytest.raises(ValueError, match="name every segment"):
         PiecewiseCurve([0.0, 0.0], disps[:1], ["transverse"] * 2)
     with pytest.raises(ValueError, match=r"\(S, d\)"):
@@ -90,17 +83,6 @@ def test_from_steps_accumulates_lifts():
     assert np.allclose(g.starts[1], [0.25, 0.0])
     assert np.allclose(g.end_lift, [0.75, 0.75])
     assert not g.is_closed
-
-
-def test_from_steps_validates_kinds_against_direction():
-    with pytest.raises(ValueError):
-        PiecewiseCurve.from_steps(
-            [0.0, 0.0], [("flow", [0.1, 0.0])], alpha=GOLDEN
-        )
-    with pytest.raises(ValueError):
-        PiecewiseCurve.from_steps(
-            [0.0, 0.0], [("transverse", 0.3 * GOLDEN.alpha)], alpha=GOLDEN
-        )
 
 
 def test_reverse_is_involutive():
@@ -376,7 +358,6 @@ def test_flow_segments_participate_in_excision():
     g = PiecewiseCurve.from_steps(
         [0.0, 0.0],
         [("flow", 0.2 * a), ("flow", -0.2 * a), ("transverse", [0.0, 0.5])],
-        alpha=GOLDEN,
     )
     fam = CurveFamily([g])
     loc = find_retraced_arc(fam)

@@ -55,6 +55,10 @@ def test_direction_round_trip():
         {"d": 2, "alpha": ["1"]},
         {"d": 2, "alpha": ["1", "x"]},
         {"d": 2, "alpha": ["1", None]},
+        {"d": 2.0, "alpha": ["1", "0.5"]},
+        {"d": True, "alpha": ["1"]},
+        {"d": 0, "alpha": []},
+        {"d": None, "alpha": []},
     ],
 )
 def test_direction_schema_errors(obj):

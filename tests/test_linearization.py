@@ -11,7 +11,6 @@ from toruslab.currents import evaluate, evaluate_twisted, phase_average
 from toruslab.curves import PiecewiseCurve, concatenate
 from toruslab.errors import (
     BasepointMismatch,
-    EndpointMismatch,
     ResonantMode,
     SeparationNotFound,
     TwistRouteMismatch,
@@ -26,10 +25,9 @@ from toruslab.linearization import (
     injectivity_probe,
     linearize,
 )
-from toruslab.torus_flow import DirectionVector, TorusPoint, circle_dist, flow, reduce_mod1
+from toruslab.torus_flow import DirectionVector, circle_dist, reduce_mod1
 
 GOLDEN = DirectionVector.golden()
-ORIGIN = TorusPoint([0.0, 0.0])
 BATTERY2 = build_battery(2, cutoff=2)
 
 
@@ -37,8 +35,8 @@ def tpath(x, *disps):
     return PiecewiseCurve.from_steps(x, [("transverse", d) for d in disps])
 
 
-def lin(y, path, battery=BATTERY2):
-    return linearize(y, ORIGIN, path, GOLDEN, battery=battery)
+def lin(path, battery=BATTERY2):
+    return linearize(path, GOLDEN, battery)
 
 
 # --- battery ---
@@ -68,53 +66,38 @@ def test_battery_rejects_bad_cutoff():
 
 
 def test_trivial_path_linearizes_to_zero():
-    p = lin(ORIGIN, PiecewiseCurve.trivial([0.0, 0.0]))
-    assert all(v == 0.0 for v in p.evaluations.values())
+    p = lin(PiecewiseCurve([0.0, 0.0]))
+    assert all(v == 0.0 for v in p.table)
 
 
 def test_loop_path_reads_raw_loop_integrals():
     loop = tpath(
         [0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [-0.25, 0.0], [0.0, -0.25]
     )
-    p = lin(ORIGIN, loop)
+    p = lin(loop)
     for fid, form in BATTERY2:
-        assert p.evaluations[fid] == pytest.approx(evaluate(loop, form), abs=1e-12)
+        assert p.table[BATTERY2.index[fid]] == pytest.approx(evaluate(loop, form), abs=1e-12)
 
 
 def test_flow_path_reads_generator_times_t():
     t = 1.375
     path = PiecewiseCurve.from_steps(
-        [0.0, 0.0], [("flow", t * GOLDEN.alpha)], alpha=GOLDEN
+        [0.0, 0.0], [("flow", t * GOLDEN.alpha)]
     )
-    p = lin(flow(ORIGIN, t, GOLDEN), path)
-    gen = generator(GOLDEN, battery=BATTERY2)
+    p = lin(path)
+    gen = generator(GOLDEN, BATTERY2)
     for fid, _ in BATTERY2:
-        assert p.evaluations[fid] == pytest.approx(
-            gen[fid] * t, abs=1e-10
-        )
-
-
-def test_linearize_validates_endpoints():
-    path = tpath([0.0, 0.0], [0.3, 0.4])
-    with pytest.raises(EndpointMismatch):
-        linearize(TorusPoint([0.9, 0.9]), ORIGIN, path, GOLDEN, battery=BATTERY2)
-    with pytest.raises(EndpointMismatch):
-        linearize(
-            TorusPoint([0.3, 0.4]),
-            TorusPoint([0.5, 0.5]),
-            path,
-            GOLDEN,
-            battery=BATTERY2,
+        assert p.table[BATTERY2.index[fid]] == pytest.approx(
+            gen[BATTERY2.index[fid]] * t, abs=1e-10
         )
 
 
 def test_path_difference_is_the_closing_loop():
-    y = TorusPoint([0.3, 0.4])
-    p1 = lin(y, tpath([0.0, 0.0], [0.3, 0.4]))
-    p2 = lin(y, tpath([0.0, 0.0], [0.0, 0.4], [0.3, 0.0]))
+    p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
+    p2 = lin(tpath([0.0, 0.0], [0.0, 0.4], [0.3, 0.0]))
     closing = concatenate(p1.path, p2.path.reverse())
     for fid, form in BATTERY2:
-        gap = p1.evaluations[fid] - p2.evaluations[fid]
+        gap = p1.table[BATTERY2.index[fid]] - p2.table[BATTERY2.index[fid]]
         assert gap == pytest.approx(evaluate(closing, form), abs=1e-10)
 
 
@@ -122,22 +105,22 @@ def test_path_difference_is_the_closing_loop():
 
 
 def test_generator_dx_values_are_alpha():
-    gen = generator(GOLDEN, battery=BATTERY2)
-    assert gen["dx1"] == float(GOLDEN.alpha[0])
-    assert gen["dx2"] == float(GOLDEN.alpha[1])
+    gen = generator(GOLDEN, BATTERY2)
+    assert gen[BATTERY2.index["dx1"]] == float(GOLDEN.alpha[0])
+    assert gen[BATTERY2.index["dx2"]] == float(GOLDEN.alpha[1])
 
 
 def test_generator_modulated_means_vanish():
-    gen = generator(GOLDEN, battery=BATTERY2)
-    assert gen["cos[1,0]dx1"] == 0.0
-    assert gen["sin[1,-1]dx2"] == 0.0
+    gen = generator(GOLDEN, BATTERY2)
+    assert gen[BATTERY2.index["cos[1,0]dx1"]] == 0.0
+    assert gen[BATTERY2.index["sin[1,-1]dx2"]] == 0.0
 
 
 # --- equivariance ---
 
 
 def test_equivariance_at_zero_time():
-    p = lin(TorusPoint([0.3, 0.4]), tpath([0.0, 0.0], [0.3, 0.4]))
+    p = lin(tpath([0.0, 0.0], [0.3, 0.4]))
     assert check_equivariance(p, 0.0, GOLDEN) == 0.0
 
 
@@ -146,26 +129,24 @@ def test_equivariance_random_samples(seed):
     rng = np.random.default_rng(500 + seed)
     y = rng.uniform(0, 1, size=2)
     t = float(rng.uniform(-10, 10))
-    p = lin(TorusPoint(y), tpath([0.0, 0.0], y))
+    p = lin(tpath([0.0, 0.0], y))
     assert check_equivariance(p, t, GOLDEN) < 1e-9
 
 
 def test_equivariance_additivity_triangle():
     y = np.array([0.21, 0.58])
-    p = lin(TorusPoint(y), tpath([0.0, 0.0], y))
+    p = lin(tpath([0.0, 0.0], y))
     d1 = check_equivariance(p, 1.3, GOLDEN)
     d2 = check_equivariance(p, -0.9, GOLDEN)
     composite = concatenate(p.path, PiecewiseCurve.from_steps(p.path.end_lift, [
         ("flow", 1.3 * GOLDEN.alpha),
         ("flow", -0.9 * GOLDEN.alpha),
     ]))
-    q = linearize(
-        flow(TorusPoint(y), 0.4, GOLDEN), ORIGIN, composite, GOLDEN, battery=BATTERY2
-    )
-    gen = generator(GOLDEN, battery=BATTERY2)
+    q = linearize(composite, GOLDEN, BATTERY2)
+    gen = generator(GOLDEN, BATTERY2)
     d12 = max(
-        abs(q.evaluations[fid] - p.evaluations[fid] - gen[fid] * 0.4)
-        for fid, _ in BATTERY2
+        abs(q.table[i] - p.table[i] - gen[i] * 0.4)
+        for i in range(len(BATTERY2))
     )
     assert d12 <= d1 + d2 + 1e-9
 
@@ -173,15 +154,9 @@ def test_equivariance_additivity_triangle():
 def test_albanese_semi_conjugacy_single_sample():
     y = np.array([0.37, 0.81])
     t = 2.125
-    p = lin(TorusPoint(y), tpath([0.0, 0.0], y))
+    p = lin(tpath([0.0, 0.0], y))
     flowed = PiecewiseCurve.from_steps(p.path.end_lift, [("flow", t * GOLDEN.alpha)])
-    q = linearize(
-        flow(TorusPoint(y), t, GOLDEN),
-        ORIGIN,
-        concatenate(p.path, flowed),
-        GOLDEN,
-        battery=BATTERY2,
-    )
+    q = linearize(concatenate(p.path, flowed), GOLDEN, BATTERY2)
     shifted = (albanese(p).coords + t * GOLDEN.alpha) % 1.0
     assert circle_dist(albanese(q).coords, shifted) < 1e-9
 
@@ -190,34 +165,32 @@ def test_albanese_semi_conjugacy_single_sample():
 
 
 def test_albanese_reads_endpoint_offset():
-    y = TorusPoint([0.3, 0.4])
-    p1 = lin(y, tpath([0.0, 0.0], [0.3, 0.4]))
-    p2 = lin(y, tpath([0.0, 0.0], [0.15, 0.7], [0.15, -0.3]))
+    p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
+    p2 = lin(tpath([0.0, 0.0], [0.15, 0.7], [0.15, -0.3]))
     assert circle_dist(albanese(p1).coords, [0.3, 0.4]) < 1e-12
     assert albanese(p1).close_to(albanese(p2), tol=1e-12)
 
 
 def test_albanese_of_trivial_path_is_zero():
-    p = lin(ORIGIN, PiecewiseCurve.trivial([0.0, 0.0]))
+    p = lin(PiecewiseCurve([0.0, 0.0]))
     assert np.allclose(albanese(p).coords, 0.0)
 
 
 def test_albanese_ignores_appended_loops():
-    y = TorusPoint([0.3, 0.4])
     base = tpath([0.0, 0.0], [0.3, 0.4])
     winding = tpath([0.3, 0.4], [1.0, 0.0], [0.0, -1.0])
-    p1 = lin(y, base)
-    p2 = lin(y, concatenate(base, winding))
+    p1 = lin(base)
+    p2 = lin(concatenate(base, winding))
     assert albanese(p1).close_to(albanese(p2), tol=1e-12)
-    assert p2.evaluations["dx1"] == pytest.approx(1.3, abs=1e-12)
+    assert p2.table[BATTERY2.index["dx1"]] == pytest.approx(1.3, abs=1e-12)
 
 
 # --- injectivity probes ---
 
 
 def test_probe_separates_distinct_endpoints_by_albanese_form():
-    p1 = lin(TorusPoint([0.3, 0.4]), tpath([0.0, 0.0], [0.3, 0.4]))
-    p2 = lin(TorusPoint([0.3, 0.7]), tpath([0.0, 0.0], [0.3, 0.7]))
+    p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
+    p2 = lin(tpath([0.0, 0.0], [0.3, 0.7]))
     report = injectivity_probe(p1, p2, GOLDEN)
     assert report.endpoints_differ and report.separated
     assert report.form == "dx2"
@@ -225,21 +198,20 @@ def test_probe_separates_distinct_endpoints_by_albanese_form():
 
 
 def test_probe_same_point_same_path_is_same_class():
-    p1 = lin(TorusPoint([0.3, 0.4]), tpath([0.0, 0.0], [0.3, 0.4]))
-    p2 = lin(TorusPoint([0.3, 0.4]), tpath([0.0, 0.0], [0.3, 0.4]))
+    p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
+    p2 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
     report = injectivity_probe(p1, p2, GOLDEN)
     assert not report.endpoints_differ
     assert report.same_class is True
 
 
 def test_probe_same_endpoint_different_class_detected():
-    y = TorusPoint([0.3, 0.4])
     base = tpath([0.0, 0.0], [0.3, 0.4])
     wiggle = tpath(
         [0.3, 0.4], [0.25, 0.0], [0.0, 0.25], [-0.25, 0.0], [0.0, -0.25]
     )
-    p1 = lin(y, base)
-    p2 = lin(y, concatenate(base, wiggle))
+    p1 = lin(base)
+    p2 = lin(concatenate(base, wiggle))
     report = injectivity_probe(p1, p2, GOLDEN)
     assert not report.endpoints_differ
     assert report.same_class is False
@@ -248,32 +220,18 @@ def test_probe_same_endpoint_different_class_detected():
 
 def test_probe_raises_on_sub_tolerance_endpoint_gap():
     eps = 5e-12
-    p1 = lin(TorusPoint([0.3, 0.4]), tpath([0.0, 0.0], [0.3, 0.4]))
-    p2 = lin(
-        TorusPoint([0.3 + eps, 0.4]), tpath([0.0, 0.0], [0.3 + eps, 0.4])
-    )
+    p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
+    p2 = lin(tpath([0.0, 0.0], [0.3 + eps, 0.4]))
     with pytest.raises(SeparationNotFound):
         injectivity_probe(p1, p2, GOLDEN)
 
 
 def test_probe_requires_common_basepoint_and_battery():
-    p1 = lin(TorusPoint([0.3, 0.4]), tpath([0.0, 0.0], [0.3, 0.4]))
-    other = linearize(
-        TorusPoint([0.4, 0.5]),
-        TorusPoint([0.1, 0.1]),
-        tpath([0.1, 0.1], [0.3, 0.4]),
-        GOLDEN,
-        battery=BATTERY2,
-    )
+    p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
+    other = linearize(tpath([0.1, 0.1], [0.3, 0.4]), GOLDEN, BATTERY2)
     with pytest.raises(BasepointMismatch):
         injectivity_probe(p1, other, GOLDEN)
-    p3 = linearize(
-        TorusPoint([0.3, 0.7]),
-        ORIGIN,
-        tpath([0.0, 0.0], [0.3, 0.7]),
-        GOLDEN,
-        battery=build_battery(2, cutoff=1),
-    )
+    p3 = linearize(tpath([0.0, 0.0], [0.3, 0.7]), GOLDEN, build_battery(2, cutoff=1))
     with pytest.raises(ValueError):
         injectivity_probe(p1, p3, GOLDEN)
 
@@ -283,7 +241,7 @@ def test_probe_near_coincident_endpoints_use_theta_form():
     y2 = y1 + [6e-10, 0.0]
     path1 = tpath([0.0, 0.0], [0.1, 0.5], y1 - [0.1, 0.5])
     path2 = tpath([0.0, 0.0], y2)
-    report = injectivity_probe(lin(TorusPoint(y1), path1), lin(TorusPoint(y2), path2), GOLDEN)
+    report = injectivity_probe(lin(path1), lin(path2), GOLDEN)
     assert report.form == "theta[cos[0,1],1,2]"
     g = TrigPoly.cosine((0, 1))
     theta = OneForm([-float(GOLDEN.alpha[1]) * g, float(GOLDEN.alpha[0]) * g])
@@ -322,12 +280,12 @@ def test_kernel_matches_per_form_route(d, cutoff, data):
             steps.append(("transverse", disp))
     path = PiecewiseCurve.from_steps(start, steps)
     battery = build_battery(d, cutoff)
-    p = linearize(path.end, path.start, path, alpha, battery=battery)
-    gen = generator(alpha, battery=battery)
+    p = linearize(path, alpha, battery)
+    gen = generator(alpha, battery)
     for i, (fid, form) in enumerate(battery):
         assert p.raw[i] == pytest.approx(evaluate(path, form), abs=1e-10), fid
         assert p.table[i] == pytest.approx(evaluate_twisted(path, form, alpha), abs=1e-10), fid
-        assert gen.vector[i] == pytest.approx(solve_for_form(form, alpha).c, abs=1e-10), fid
+        assert gen[i] == pytest.approx(solve_for_form(form, alpha).c, abs=1e-10), fid
 
 
 def test_resonant_mode_matches_per_form_route(tmp_path, capsys):
@@ -339,9 +297,9 @@ def test_resonant_mode_matches_per_form_route(tmp_path, capsys):
             evaluate_twisted(path, form, alpha)
     assert per_form.value.n == (1, 2)
     with pytest.raises(ResonantMode) as kernel:
-        linearize(TorusPoint([0.3, 0.4]), ORIGIN, path, alpha, battery=battery)
+        linearize(path, alpha, battery)
     with pytest.raises(ResonantMode) as gen:
-        generator(alpha, battery=battery)
+        generator(alpha, battery)
     for exc in (kernel.value, gen.value):
         assert (exc.n, exc.divisor) == (per_form.value.n, per_form.value.divisor)
     alpha_file = tmp_path / "alpha.json"
@@ -358,7 +316,7 @@ def test_kernel_twist_routes_apart_raise(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(currents, "phase_average", lambda u: 2.0 * phase_average(u))
     path = tpath([0.0, 0.0], [0.3, 0.4])
     with pytest.raises(TwistRouteMismatch):
-        lin(TorusPoint([0.3, 0.4]), path)
+        lin(path)
     alpha_file = tmp_path / "golden.json"
     alpha_file.write_text('{"d": 2, "alpha": ["1", "1.6180339887498949"]}\n')
     assert main(["linearize-demo", "--alpha", str(alpha_file), "--samples", "1"]) == 1
@@ -373,8 +331,8 @@ def test_deck_shift_leaves_table_unchanged():
     shifted = tpath(x + [1e12, -1e12], *disps)
     assert np.array_equal(reduce_mod1(shifted.end_lift), reduce_mod1(base.end_lift))
     battery = build_battery(2, cutoff=3)
-    p = linearize(base.end, TorusPoint(x), base, GOLDEN, battery=battery)
-    q = linearize(shifted.end, TorusPoint(x), shifted, GOLDEN, battery=battery)
+    p = linearize(base, GOLDEN, battery)
+    q = linearize(shifted, GOLDEN, battery)
     assert np.max(np.abs(p.table - q.table)) <= 1e-12
     assert np.max(np.abs(p.raw - q.raw)) <= 1e-12
     for _, form in battery:

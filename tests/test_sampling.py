@@ -6,7 +6,6 @@ from toruslab.curves import boundaries_equal, boundary_multiset, find_retraced_a
 from toruslab.sampling import (
     path_via,
     random_loop,
-    random_one_form,
     random_path,
     random_point,
     random_retrace_family,
@@ -14,6 +13,7 @@ from toruslab.sampling import (
     shortest_displacement,
     straight_path,
 )
+from toruslab.spectral import OneForm
 from toruslab.torus_flow import DirectionVector, circle_dist
 
 GOLDEN = DirectionVector.golden()
@@ -79,7 +79,7 @@ def test_random_retrace_family_excises_cleanly(seed):
     assert boundaries_equal(boundary_multiset(fam), boundary_multiset(out))
     form_rng = np.random.default_rng(900 + seed)
     for _ in range(3):
-        eta = random_one_form(form_rng, cutoff=3)
+        eta = OneForm([random_trig_poly(form_rng, 2, 3, 3) for _ in range(2)])
         before = evaluate_family(fam, eta)
         after = evaluate_family(out, eta)
         assert after == pytest.approx(before, rel=1e-9, abs=1e-9)

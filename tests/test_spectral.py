@@ -1,5 +1,5 @@
 """Frequency-side calculus: derivative along the flow, small-divisor solver,
-contraction, exterior derivative, Sobolev norms.
+contraction, exterior derivative.
 
 Oracles: central finite differences for the two derivative operators,
 exact rational arithmetic for Liouville divisors, closed-form mode algebra
@@ -18,7 +18,6 @@ from toruslab.spectral import (
     contract_with_flow,
     exterior_derivative,
     lie_derivative,
-    sobolev_norm,
     solve_cohomological,
     solve_for_form,
 )
@@ -294,15 +293,3 @@ def test_constant_contraction_shift():
     s2 = solve_for_form(eta2, GOLDEN)
     assert s1.h.allclose(s2.h, tol=1e-12)
     assert s2.c - s1.c == pytest.approx(shift, abs=1e-12)
-
-
-def test_sobolev_norm_values():
-    assert sobolev_norm(TrigPoly.constant(2, 0.0), 3.0) == 0.0
-    f = TrigPoly.cosine((1, 0))
-    assert sobolev_norm(f, 0.0) == pytest.approx(np.sqrt(0.5), abs=1e-15)
-    assert sobolev_norm(f, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_sobolev_norm_monotone_in_s():
-    f = TrigPoly.cosine((2, -1)) + TrigPoly.sine((0, 3), 0.5)
-    assert sobolev_norm(f, 2.0) >= sobolev_norm(f, 1.0) >= sobolev_norm(f, 0.0)

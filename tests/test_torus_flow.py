@@ -217,7 +217,3 @@ def test_direction_vector_validation():
         DirectionVector([0.0, 0.0])
     with pytest.raises(ValueError):
         DirectionVector([np.inf, 1.0])
-    with pytest.raises(ValueError):
-        DirectionVector([1.0, 0.5], resonances=[(1, 1)])
-    dv = DirectionVector([1.0, 0.5], resonances=[(1, -2)])
-    assert dv.resonances == ((1, -2),)

@@ -89,6 +89,19 @@ def test_diophantine_certificate_regression(files, capsys):
     assert payload["norm"] == "sup"
 
 
+def test_diophantine_tie_reports_first_argmin(files, capsys, tmp_path):
+    # at tau = 0, (0, 1) and (1, -3) both reach |n.alpha| = 0.25; the sweep
+    # keeps the first in its order
+    quarter = tmp_path / "quarter.json"
+    quarter.write_text('{"d": 2, "alpha": ["1", "0.25"]}\n')
+    code, out, err = run(capsys, [
+        "diophantine-check", "--alpha", str(quarter), "--tau", "0", "--radius", "3",
+    ])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["argmin"], payload["c_min"]) == ([0, 1], "0.25")
+
+
 def test_solve_cohomology_success(files, capsys):
     code, out, err = run(
         capsys,

@@ -286,6 +286,14 @@ def test_twist_routes_apart_raise(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("nan_route", [0, 1])
+def test_nan_twist_route_raises(nan_route):
+    routes = [0.5, 0.5]
+    routes[nan_route] = float("nan")
+    with pytest.raises(TwistRouteMismatch):
+        currents.check_twist_routes(0.5, *routes)
+
+
 _FORCED_APART = """
 import sys
 from toruslab import currents, linearization

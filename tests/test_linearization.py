@@ -15,7 +15,7 @@ from toruslab.errors import (
     SeparationNotFound,
     TwistRouteMismatch,
 )
-from toruslab.spectral import OneForm, TrigPoly, solve_for_form
+from toruslab.spectral import OneForm, TrigPoly, solve_cohomological, solve_for_form
 from toruslab.linearization import (
     albanese,
     build_battery,
@@ -25,7 +25,7 @@ from toruslab.linearization import (
     injectivity_probe,
     linearize,
 )
-from toruslab.torus_flow import DirectionVector, circle_dist, reduce_mod1
+from toruslab.torus_flow import RESONANCE_EPS, DirectionVector, circle_dist, reduce_mod1
 
 GOLDEN = DirectionVector.golden()
 BATTERY2 = build_battery(2, cutoff=2)
@@ -288,28 +288,41 @@ def test_kernel_matches_per_form_route(d, cutoff, data):
         assert gen[i] == pytest.approx(solve_for_form(form, alpha).c, abs=1e-10), fid
 
 
+_RESONANT = [  # (alpha, eps_res, cutoff, first resonant battery mode)
+    (("1", "-0.5"), RESONANCE_EPS, 4, (1, 2)),  # (1, 2) and (2, 4) resonate
+    # eps_res = 0 admits every nonzero divisor, so only the exact zero flags
+    (("1", "2"), 0.0, 2, (2, -1)),
+]
+
+
 def test_resonant_mode_matches_per_form_route(tmp_path, capsys):
-    alpha = DirectionVector.from_decimals(["1", "-0.5"])  # (1, 2) and (2, 4) resonate
-    battery = build_battery(2, cutoff=4)
-    path = tpath([0.0, 0.0], [0.3, 0.4])
-    with pytest.raises(ResonantMode) as per_form:
-        for _, form in battery:
-            evaluate_twisted(path, form, alpha)
-    assert per_form.value.n == (1, 2)
-    with pytest.raises(ResonantMode) as kernel:
-        linearize(path, alpha, battery)
-    with pytest.raises(ResonantMode) as gen:
-        generator(alpha, battery)
-    for exc in (kernel.value, gen.value):
-        assert (exc.n, exc.divisor) == (per_form.value.n, per_form.value.divisor)
-    alpha_file = tmp_path / "alpha.json"
-    alpha_file.write_text('{"d": 2, "alpha": ["1", "-0.5"]}\n')
-    for command in ("linearize-demo", "equivariance-test"):
-        argv = [command, "--alpha", str(alpha_file), "--samples", "1", "--cutoff", "4"]
-        assert main(argv) == 1
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "ResonantMode"
-        assert record["detail"]["n"] == list(per_form.value.n)
+    for decimals, eps_res, cutoff, first in _RESONANT:
+        alpha = DirectionVector.from_decimals(decimals)
+        battery = build_battery(2, cutoff=cutoff)
+        path = tpath([0.0, 0.0], [0.3, 0.4])
+        with pytest.raises(ResonantMode) as per_form:
+            for _, form in battery:
+                evaluate_twisted(path, form, alpha, eps_res=eps_res)
+        assert per_form.value.n == first
+        with pytest.raises(ResonantMode) as kernel:
+            linearize(path, alpha, battery, eps_res=eps_res)
+        with pytest.raises(ResonantMode) as gen:
+            generator(alpha, battery, eps_res=eps_res)
+        with pytest.raises(ResonantMode) as solver:
+            solve_cohomological(TrigPoly.cosine(first), alpha, eps_res=eps_res)
+        for exc in (kernel.value, gen.value, solver.value):
+            assert (exc.n, exc.divisor) == (per_form.value.n, per_form.value.divisor)
+        alpha_file = tmp_path / "alpha.json"
+        alpha_file.write_text(json.dumps({"d": 2, "alpha": list(decimals)}))
+        for command in ("linearize-demo", "equivariance-test"):
+            argv = [command, "--alpha", str(alpha_file), "--samples", "1",
+                    "--cutoff", str(cutoff), "--eps-res", repr(eps_res)]
+            assert main(argv) == 1
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "ResonantMode"
+            assert record["detail"] == {
+                "n": list(first), "divisor": repr(per_form.value.divisor)
+            }
 
 
 def test_kernel_twist_routes_apart_raise(monkeypatch, tmp_path, capsys):

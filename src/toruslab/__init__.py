@@ -34,11 +34,9 @@ from .spectral import (
     CohomologySolution,
     OneForm,
     TrigPoly,
-    contract_with_flow,
     exterior_derivative,
     lie_derivative,
     solve_cohomological,
-    solve_for_form,
 )
 from .curves import (
     CurveFamily,

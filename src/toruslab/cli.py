@@ -228,7 +228,7 @@ def _cmd_linearize_demo(config: ExperimentConfig) -> int:
         "separation": None,
     }
     if len(points) >= 2 and points[0].basepoint.close_to(points[1].basepoint):
-        report = injectivity_probe(points[0], points[1], alpha)
+        report = injectivity_probe(points[0], points[1])
         payload["separation"] = {
             "form": report.form,
             "gap": fnum(report.gap),

@@ -2,21 +2,22 @@
 
 A curve is read as a current by integration: every function here takes
 the curve itself. Trig-poly one-forms integrate in closed form, one
-exponential kernel per (segment, mode) pair (phase_kernel, shared with the
-battery tabulation of linearization). The boundary of a curve is the signed
-point mass curves.boundary_multiset; on top of it sits the twisted
-evaluation, which subtracts the coboundary part of a form so only its
-flow-cohomology class is seen.
+exponential kernel per (segment, mode) pair. A form is read as its mode
+list and an (M, d) coefficient matrix C, contracted with the per-mode
+integrals K of _mode_integrals; the twisted evaluation subtracts the
+coboundary part of the form mode by mode (_route_terms), so only its
+flow-cohomology class is seen. The battery tabulation of linearization
+runs on the same two helpers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import CurveFamily, PiecewiseCurve, boundary_multiset
+from .curves import CurveFamily, PiecewiseCurve
 from .errors import TwistRouteMismatch
-from .spectral import OneForm, exterior_derivative, solve_for_form
-from .torus_flow import RESONANCE_EPS, DirectionVector, reduce_mod1
+from .spectral import OneForm
+from .torus_flow import RESONANCE_EPS, DirectionVector, divisors, reduce_mod1
 
 SERIES_CUTOFF = 1e-4   # |u| below this evaluates E(u) by Taylor series
 TWIST_TOL = 1e-10      # twisted routes must agree to this, relative to their largest term
@@ -52,6 +53,43 @@ def phase_kernel(path: PiecewiseCurve, modes: np.ndarray) -> np.ndarray:
     return kernel
 
 
+def _mode_integrals(path: PiecewiseCurve, modes: np.ndarray) -> np.ndarray:
+    """(M, d) integrals K[n, j] = sum_s v_s[j] e^{2 pi i n.x_s} E(n.v_s).
+
+    K[n, j] is the integral of the complex form e^{2 pi i n.x} dx_j along
+    the path; modes is an (M, d) float array.
+    """
+    # einsum, not a complex matmul: BLAS buffers cost RSS
+    return np.einsum("sm,sj->mj", phase_kernel(path, modes), path.displacements)
+
+
+def _route_terms(path: PiecewiseCurve, modes: np.ndarray, K: np.ndarray):
+    """Boundary and form terms of every mode, before the factor alpha_j / n.alpha.
+
+    The transfer function of e^{2 pi i n.x} dx_j is h = alpha_j e^{2 pi i
+    n.x} / (2 pi i n.alpha). The boundary route subtracts h(y) - h(x), whose
+    term is (e^{2 pi i n.y} - e^{2 pi i n.x}) / (2 pi i), zero on a closed
+    path; the form route subtracts the integral of dh, whose term is n.K_n.
+    """
+    if path.is_closed:
+        jump = np.zeros(len(modes), dtype=complex)
+    else:
+        z = np.exp(2j * np.pi * (np.stack([path.end.coords, path.start.coords]) @ modes.T))
+        jump = z[0] - z[1]
+    return jump / (2j * np.pi), (K * modes).sum(axis=1)
+
+
+def _coefficients(eta: OneForm):
+    """The modes of eta, in order of first appearance, and its (M, d) coefficients."""
+    modes = list(dict.fromkeys(n for comp in eta.components for n in comp.modes))
+    row = {n: m for m, n in enumerate(modes)}
+    C = np.zeros((len(modes), eta.d), dtype=complex)
+    for j, comp in enumerate(eta.components):
+        for n, c in comp.modes.items():
+            C[row[n], j] = c
+    return modes, C
+
+
 def check_twist_routes(raw, via_boundary, via_form) -> None:
     """Raise TwistRouteMismatch unless the two twisted routes agree.
 
@@ -73,20 +111,16 @@ def check_twist_routes(raw, via_boundary, via_form) -> None:
 
 
 def evaluate(curve: PiecewiseCurve, eta: OneForm) -> float:
-    """Exact line integral of a trig-poly one-form along the curve.
+    """Exact line integral of a trig-poly one-form along the curve, Re sum C * K.
 
-    One phase kernel K covers the modes of every component: segment s and
-    mode n of component j contribute v_s[j] K[s, n] c_n, and the Hermitian
-    mode set makes the total real.
+    The Hermitian mode set makes the total real.
     """
     if curve.d != eta.d:
         raise ValueError("dimension mismatch")
-    terms = [(j, n, c) for j, comp in enumerate(eta.components) for n, c in comp.modes.items()]
-    if not terms:
+    modes, C = _coefficients(eta)
+    if not modes:
         return 0.0
-    cols, modes, coeffs = zip(*terms)
-    kernel = phase_kernel(curve, np.array(modes, dtype=float))
-    return float(np.sum(curve.displacements[:, list(cols)] * kernel * np.array(coeffs)).real)
+    return float(np.sum(C * _mode_integrals(curve, np.array(modes, dtype=float))).real)
 
 
 def evaluate_family(family: CurveFamily, eta: OneForm) -> float:
@@ -96,15 +130,26 @@ def evaluate_family(family: CurveFamily, eta: OneForm) -> float:
 
 def evaluate_twisted(curve: PiecewiseCurve, eta: OneForm, alpha: DirectionVector,
                      eps_res: float = RESONANCE_EPS) -> float:
-    """The curve's integral of eta minus its boundary paired with h_eta.
+    """The curve's integral of eta minus the coboundary part of eta.
 
-    h_eta is the transfer function of eta along alpha. Computed twice, once
-    as raw minus boundary term and once as the integral of eta - dh_eta;
-    the two routes are held to check_twist_routes on every call.
+    eta(X) has coefficients g = C alpha; only modes n != 0 that g carries are
+    twisted, by g_n / n.alpha times their route terms, so a resonant frequency
+    that eta(X) does not carry is harmless. The boundary and form routes are
+    held to check_twist_routes on every call.
     """
-    sol = solve_for_form(eta, alpha, eps_res=eps_res)
-    raw = evaluate(curve, eta)
-    via_boundary = raw - boundary_multiset(curve).pair(sol.h)
-    via_form = evaluate(curve, eta - exterior_derivative(sol.h))
+    if not curve.d == eta.d == alpha.d:
+        raise ValueError("dimension mismatch")
+    modes, C = _coefficients(eta)
+    if not modes:
+        return 0.0
+    fmodes = np.array(modes, dtype=float)
+    K = _mode_integrals(curve, fmodes)
+    raw = float(np.sum(C * K).real)
+    g = (C * alpha.alpha).sum(axis=1)
+    carried = np.flatnonzero((g != 0.0) & fmodes.any(axis=1))
+    weight = g[carried] / divisors(alpha, [modes[m] for m in carried], eps_res)
+    boundary, form = _route_terms(curve, fmodes[carried], K[carried])
+    via_boundary = raw - float(np.sum(weight * boundary).real)
+    via_form = raw - float(np.sum(weight * form).real)
     check_twist_routes(raw, via_boundary, via_form)
     return via_boundary

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import check_twist_routes, phase_kernel
+from .currents import _mode_integrals, _route_terms, check_twist_routes
 from .curves import PiecewiseCurve
-from .errors import BasepointMismatch, ResonantMode, SeparationNotFound
+from .errors import BasepointMismatch, SeparationNotFound
 from .spectral import OneForm
-from .torus_flow import RESONANCE_EPS, DirectionVector, TorusPoint
+from .torus_flow import RESONANCE_EPS, TORUS_TOL, DirectionVector, TorusPoint, divisors
 
 DEFAULT_CUTOFF = 3     # battery modulation frequencies up to this sup norm
-SEPARATION_TOL = 1e-9  # evaluation gaps below this never count as separation
+SEPARATION_TOL = 1e-9  # table gaps between coincident endpoints below this are one class
 _TRIGS = ("cos", "sin")
 
 
@@ -119,23 +119,6 @@ class SeparationReport:
     same_class: bool | None  # set only when the endpoints coincide
 
 
-def _divisors(alpha: DirectionVector, battery: Battery, eps_res: float) -> np.ndarray:
-    """n.alpha for every battery mode, each rounded once from exact arithmetic.
-
-    Raises ResonantMode on the first mode, in battery order, that
-    solve_cohomological would reject.
-    """
-    if alpha.d != battery.d:
-        raise ValueError("dimension mismatch")
-    div = np.array([alpha.dot(n) for n in battery.modes.tolist()])
-    ninf = np.abs(battery.modes).max(axis=1)
-    resonant = (np.abs(div) < eps_res * ninf) | (div == 0.0)
-    if resonant.any():
-        m = int(np.argmax(resonant))
-        raise ResonantMode(battery.modes[m], div[m])
-    return div
-
-
 def _battery_vector(dx: np.ndarray, modulated: np.ndarray) -> np.ndarray:
     """dx entries, then per mode the real (cos) and imaginary (sin) rows."""
     rows = np.stack([modulated.real, modulated.imag], axis=1)
@@ -147,31 +130,22 @@ def _tabulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw and twisted battery vectors of a path, from one segment x mode matrix.
 
-    K[n, j] = sum_s v_s[j] e^{2 pi i n.x_s} E(n.v_s) integrates the complex
-    form e^{2 pi i n.x} dx_j, whose real and imaginary parts are the cos and
-    sin forms. Its transfer function is h = alpha_j e^{2 pi i n.x} /
-    (2 pi i n.alpha), so the twist subtracts h(end) - h(start) (boundary
-    route); the integral of dh, alpha_j (n.K_n) / n.alpha, is the form
-    route, and the two are held to check_twist_routes. The dx forms have
-    h = 0.
+    The per-mode integrals K[n, j] of e^{2 pi i n.x} dx_j, whose real and
+    imaginary parts are the cos and sin forms, are twisted by alpha_j /
+    n.alpha times each route term of currents._route_terms; the two routes
+    are held to check_twist_routes. The dx forms have h = 0.
     """
-    div = _divisors(alpha, battery, eps_res)
-    if path.d != battery.d:
+    if not path.d == battery.d == alpha.d:
         raise ValueError("dimension mismatch")
+    div = divisors(alpha, battery.modes.tolist(), eps_res)
     modes = battery.modes.astype(float)
-    disps = path.displacements
-    # einsum, not a complex matmul: BLAS buffers cost RSS
-    K = np.einsum("sm,sj->mj", phase_kernel(path, modes), disps)
-    if path.is_closed:
-        jump = np.zeros(len(div), dtype=complex)
-    else:
-        z = np.exp(2j * np.pi * (np.stack([path.end.coords, path.start.coords]) @ modes.T))
-        jump = z[0] - z[1]
+    K = _mode_integrals(path, modes)
+    boundary, form = _route_terms(path, modes, K)
     scale = alpha.alpha[None, :] / div[:, None]
     zero = np.zeros(battery.d)
-    raw = _battery_vector(disps.sum(axis=0), K)
-    twisted = raw - _battery_vector(zero, scale * (jump / (2j * np.pi))[:, None])
-    via_form = raw - _battery_vector(zero, scale * (K * modes).sum(axis=1)[:, None])
+    raw = _battery_vector(path.displacements.sum(axis=0), K)
+    twisted = raw - _battery_vector(zero, scale * boundary[:, None])
+    via_form = raw - _battery_vector(zero, scale * form[:, None])
     check_twist_routes(raw, twisted, via_form)
     return raw, twisted
 
@@ -200,7 +174,9 @@ def generator(
     zero, but it is still obstructed on a resonant mode, so the divisors
     are checked as the solver would.
     """
-    _divisors(alpha, battery, eps_res)
+    if alpha.d != battery.d:
+        raise ValueError("dimension mismatch")
+    divisors(alpha, battery.modes.tolist(), eps_res)
     values = np.zeros(len(battery))
     values[: alpha.d] = alpha.alpha
     return values
@@ -239,66 +215,32 @@ def albanese(p: LinearizationPoint) -> TorusPoint:
     return TorusPoint(p.table[: p.battery.d])
 
 
-def _theta_probes(alpha: DirectionVector, battery: Battery):
-    """Flow-annihilating combinations of battery forms.
-
-    theta = alpha_j * (g dx_k) - alpha_k * (g dx_j) contracts to zero with
-    the flow field, so its twisted value is the raw integral; the gap is a
-    linear combination of existing table entries. Yields the probe name and
-    the two (table position, weight) terms; modes run in the text order of
-    their labels.
-    """
-    d = battery.d
-    labels = [mode_label(n) for n in battery.modes]
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    for t, trig in enumerate(_TRIGS):
-        for m in order:
-            base = d + (2 * m + t) * d
-            for j in range(d):
-                for k in range(j + 1, d):
-                    name = f"theta[{trig}{labels[m]},{j + 1},{k + 1}]"
-                    yield name, (base + k, alpha.alpha[j]), (base + j, -alpha.alpha[k])
-
-
-def injectivity_probe(
-    p1: LinearizationPoint, p2: LinearizationPoint, alpha: DirectionVector
-) -> SeparationReport:
+def injectivity_probe(p1: LinearizationPoint, p2: LinearizationPoint) -> SeparationReport:
     """Search the battery for a form telling the two points apart.
 
-    Probe order: the dx forms first (they read endpoint coordinates), then
-    flow-annihilating theta combinations, then the time-normalized form.
-    A sub-threshold gap everywhere raises SeparationNotFound; a finite
-    battery can be inconclusive but never refutes injectivity.
+    Distinct endpoints (more than TORUS_TOL apart) are separated by the
+    first dx form whose gap exceeds the same TORUS_TOL: a dx entry reads the
+    path's displacement, so with a common basepoint some dx gap does. If
+    none does (basepoints that differ within TORUS_TOL), SeparationNotFound
+    is raised; a finite battery can be inconclusive but never refutes
+    injectivity. Coincident endpoints compare whole tables at SEPARATION_TOL,
+    where the modulated entries differ by a loop current.
     """
     if not p1.basepoint.close_to(p2.basepoint):
         raise BasepointMismatch("probes need a common basepoint")
     if p1.battery.ids != p2.battery.ids:
         raise ValueError("probes need a common battery")
-    d = p1.battery.d
     diff = p1.table - p2.table
-    endpoints_differ = not p1.endpoint.close_to(p2.endpoint)
-
-    if not endpoints_differ:
+    if p1.endpoint.close_to(p2.endpoint):
         worst_at = int(np.argmax(np.abs(diff)))
         worst = float(abs(diff[worst_at]))
         if worst <= SEPARATION_TOL:
             return SeparationReport(False, False, None, 0.0, same_class=True)
         return SeparationReport(False, False, p1.battery.ids[worst_at], worst, same_class=False)
-
-    def separated(form: str, gap: float) -> SeparationReport:
-        return SeparationReport(True, True, form, float(gap), same_class=None)
-
-    for j in range(d):
-        if abs(diff[j]) > SEPARATION_TOL:
-            return separated(p1.battery.ids[j], abs(diff[j]))
-    for name, (k, wk), (j, wj) in _theta_probes(alpha, p1.battery):
-        gap = abs(wk * diff[k] + wj * diff[j])
-        if gap > SEPARATION_TOL:
-            return separated(name, gap)
-    j0 = int(np.argmax(np.abs(alpha.alpha)))
-    gap = abs(diff[j0] / float(alpha.alpha[j0]))
-    if gap > SEPARATION_TOL:
-        return separated("eta0", gap)
+    for j in range(p1.battery.d):
+        if abs(diff[j]) > TORUS_TOL:
+            return SeparationReport(True, True, p1.battery.ids[j], float(abs(diff[j])),
+                                    same_class=None)
     raise SeparationNotFound(
         "no battery form separates the two points at the current cutoff"
     )

@@ -2,7 +2,8 @@
 
 Frequency-side calculus for the linear flow: the derivative along alpha acts
 mode-by-mode as multiplication by 2*pi*i*(n . alpha), so inverting it is a
-division with small divisors. Storage is a dict keyed by integer frequency
+division with small divisors, screened by the one resonance rule
+torus_flow.divisors. Storage is a dict keyed by integer frequency
 vectors; real-valued data means Hermitian symmetry c(-n) = conj(c(n)), which
 is enforced at construction and completed when only one partner is given.
 """
@@ -11,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ResonantMode
-from .torus_flow import RESONANCE_EPS, DirectionVector
+from .torus_flow import RESONANCE_EPS, DirectionVector, divisors
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,43 +197,18 @@ def solve_cohomological(
 ) -> CohomologySolution:
     """Invert the flow derivative on trig polynomials.
 
-    h_n = f_n / (2*pi*i*(n . alpha)) for n != 0, c = mean(f). A nonzero mode
-    with |n . alpha| < eps_res * |n|_inf raises ResonantMode; a resonant
-    frequency that f does not carry is harmless.
+    h_n = f_n / (2*pi*i*(n . alpha)) for n != 0, c = mean(f). A carried
+    nonzero mode that torus_flow.divisors calls resonant raises ResonantMode;
+    a resonant frequency that f does not carry is harmless.
     """
     if f.d != alpha.d:
         raise ValueError("dimension mismatch")
     zero = (0,) * f.d
-    h_modes: dict[tuple[int, ...], complex] = {}
-    worst = 1.0
-    for n, cn in f.modes.items():
-        if n == zero:
-            continue
-        div = alpha.dot(n)
-        ninf = max(abs(v) for v in n)
-        if abs(div) < eps_res * ninf or div == 0.0:
-            raise ResonantMode(n, div)
-        h_modes[n] = cn / (TWO_PI * 1j * div)
-        worst = max(worst, 1.0 / (TWO_PI * abs(div)))
+    modes = [n for n in f.modes if n != zero]
+    div = divisors(alpha, modes, eps_res).tolist()
+    h_modes = {n: f.modes[n] / (TWO_PI * 1j * dn) for n, dn in zip(modes, div)}
+    worst = max([1.0] + [1.0 / (TWO_PI * abs(dn)) for dn in div])
     return CohomologySolution(h=TrigPoly(f.d, h_modes), c=f.mean(), amplification=worst)
-
-
-def contract_with_flow(eta: OneForm, alpha: DirectionVector) -> TrigPoly:
-    """The function eta(X) = sum_j alpha_j * p_j."""
-    if eta.d != alpha.d:
-        raise ValueError("dimension mismatch")
-    out = TrigPoly.constant(eta.d, 0.0)
-    for aj, pj in zip(alpha.alpha, eta.components):
-        if not pj.is_zero:
-            out = out + float(aj) * pj
-    return out
-
-
-def solve_for_form(
-    eta: OneForm, alpha: DirectionVector, eps_res: float = RESONANCE_EPS
-) -> CohomologySolution:
-    """Solve the flow-derivative equation with data eta(X)."""
-    return solve_cohomological(contract_with_flow(eta, alpha), alpha, eps_res=eps_res)
 
 
 def exterior_derivative(f: TrigPoly) -> OneForm:

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadSchedule, ResonanceFound
+from .errors import BadSchedule, ResonanceFound, ResonantMode
 
 # Tolerance for "the same point of the torus" in every mod-1 comparison.
 TORUS_TOL = 1e-12
@@ -129,6 +129,25 @@ class DirectionVector:
 
     def __repr__(self) -> str:
         return f"DirectionVector({self.alpha.tolist()})"
+
+
+def divisors(
+    alpha: DirectionVector, modes: Sequence[Sequence[int]], eps_res: float = RESONANCE_EPS
+) -> np.ndarray:
+    """n.alpha for every mode, each rounded once from exact arithmetic.
+
+    A mode is resonant when |n.alpha| < eps_res * |n|_inf, or when n.alpha is
+    an exact zero (which eps_res = 0 keeps). Raises ResonantMode on the
+    first resonant mode in the order given. Modes are integer tuples, so
+    frequencies beyond int64 keep their exact divisors.
+    """
+    div = np.array([alpha.dot(n) for n in modes])
+    ninf = np.abs(np.array(modes, dtype=float).reshape(div.size, alpha.d)).max(axis=1)
+    resonant = (np.abs(div) < eps_res * ninf) | (div == 0.0)
+    if resonant.any():
+        m = int(np.argmax(resonant))
+        raise ResonantMode(modes[m], div[m])
+    return div
 
 
 def flow(x: TorusPoint, t: float, alpha: DirectionVector) -> TorusPoint:

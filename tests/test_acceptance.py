@@ -235,7 +235,7 @@ def test_criterion_8_injectivity_probes():
             continue
         p1 = linearize(straight_path(ORIGIN, y1), GOLDEN, SMALL_BATTERY)
         p2 = linearize(straight_path(ORIGIN, y2), GOLDEN, SMALL_BATTERY)
-        rep = injectivity_probe(p1, p2, GOLDEN)
+        rep = injectivity_probe(p1, p2)
         assert rep.separated and rep.form is not None
         min_gap = min(min_gap, rep.gap)
         done += 1

@@ -278,7 +278,8 @@ def test_twisted_trivial_path_evaluates_to_zero():
 
 
 def test_twist_routes_apart_raise(monkeypatch):
-    monkeypatch.setattr(currents, "exterior_derivative", lambda h: 2.0 * exterior_derivative(h))
+    # doubling E(u) doubles the integrals but not the endpoint values
+    monkeypatch.setattr(currents, "phase_average", lambda u: 2.0 * phase_average(u))
     curve = tcurve([0.1, 0.2], [0.3, 0.25])
     with pytest.raises(TwistRouteMismatch):
         evaluate_twisted(
@@ -299,7 +300,7 @@ import sys
 from toruslab import currents, linearization
 from toruslab.curves import PiecewiseCurve
 from toruslab.errors import TwistRouteMismatch
-from toruslab.spectral import OneForm, TrigPoly, exterior_derivative
+from toruslab.spectral import OneForm, TrigPoly
 from toruslab.torus_flow import DirectionVector
 
 assert sys.flags.optimize
@@ -307,13 +308,12 @@ alpha = DirectionVector.golden()
 path = PiecewiseCurve.from_steps([0.1, 0.2], [("transverse", [0.3, 0.25])])
 eta = OneForm([TrigPoly.cosine((1, 1)), TrigPoly.constant(2, 0.0)])
 raised = []
-currents.exterior_derivative = lambda h: 2.0 * exterior_derivative(h)
+phase_average = currents.phase_average
+currents.phase_average = lambda u: 2.0 * phase_average(u)
 try:
     currents.evaluate_twisted(path, eta, alpha)
 except TwistRouteMismatch:
     raised.append("evaluate_twisted")
-phase_average = currents.phase_average
-currents.phase_average = lambda u: 2.0 * phase_average(u)
 try:
     linearization.linearize(path, alpha, linearization.build_battery(2))
 except TwistRouteMismatch:

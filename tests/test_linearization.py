@@ -15,7 +15,7 @@ from toruslab.errors import (
     SeparationNotFound,
     TwistRouteMismatch,
 )
-from toruslab.spectral import OneForm, TrigPoly, solve_cohomological, solve_for_form
+from toruslab.spectral import TrigPoly, solve_cohomological
 from toruslab.linearization import (
     albanese,
     build_battery,
@@ -191,7 +191,7 @@ def test_albanese_ignores_appended_loops():
 def test_probe_separates_distinct_endpoints_by_albanese_form():
     p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
     p2 = lin(tpath([0.0, 0.0], [0.3, 0.7]))
-    report = injectivity_probe(p1, p2, GOLDEN)
+    report = injectivity_probe(p1, p2)
     assert report.endpoints_differ and report.separated
     assert report.form == "dx2"
     assert report.gap == pytest.approx(0.3, abs=1e-12)
@@ -200,7 +200,7 @@ def test_probe_separates_distinct_endpoints_by_albanese_form():
 def test_probe_same_point_same_path_is_same_class():
     p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
     p2 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
-    report = injectivity_probe(p1, p2, GOLDEN)
+    report = injectivity_probe(p1, p2)
     assert not report.endpoints_differ
     assert report.same_class is True
 
@@ -212,44 +212,37 @@ def test_probe_same_endpoint_different_class_detected():
     )
     p1 = lin(base)
     p2 = lin(concatenate(base, wiggle))
-    report = injectivity_probe(p1, p2, GOLDEN)
+    report = injectivity_probe(p1, p2)
     assert not report.endpoints_differ
     assert report.same_class is False
     assert report.gap > 1e-9
 
 
 def test_probe_raises_on_sub_tolerance_endpoint_gap():
-    eps = 5e-12
+    # from one basepoint, endpoints 5e-12 apart differ beyond TORUS_TOL at dx1
     p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
-    p2 = lin(tpath([0.0, 0.0], [0.3 + eps, 0.4]))
+    p2 = lin(tpath([0.0, 0.0], [0.3 + 5e-12, 0.4]))
+    report = injectivity_probe(p1, p2)
+    assert report.separated and report.form == "dx1"
+    assert report.gap == pytest.approx(5e-12, rel=1e-3)
+    # basepoints 8e-13 apart leave a dx gap of 7e-13 between endpoints 1.5e-12 apart
+    p3 = lin(tpath([8e-13, 0.0], [0.3 + 1.5e-12 - 8e-13, 0.4]))
+    assert not p1.endpoint.close_to(p3.endpoint)
     with pytest.raises(SeparationNotFound):
-        injectivity_probe(p1, p2, GOLDEN)
+        injectivity_probe(p1, p3)
 
 
 def test_probe_requires_common_basepoint_and_battery():
     p1 = lin(tpath([0.0, 0.0], [0.3, 0.4]))
     other = linearize(tpath([0.1, 0.1], [0.3, 0.4]), GOLDEN, BATTERY2)
     with pytest.raises(BasepointMismatch):
-        injectivity_probe(p1, other, GOLDEN)
+        injectivity_probe(p1, other)
     p3 = linearize(tpath([0.0, 0.0], [0.3, 0.7]), GOLDEN, build_battery(2, cutoff=1))
     with pytest.raises(ValueError):
-        injectivity_probe(p1, p3, GOLDEN)
+        injectivity_probe(p1, p3)
 
 
-def test_probe_near_coincident_endpoints_use_theta_form():
-    y1 = np.array([0.3, 0.4])
-    y2 = y1 + [6e-10, 0.0]
-    path1 = tpath([0.0, 0.0], [0.1, 0.5], y1 - [0.1, 0.5])
-    path2 = tpath([0.0, 0.0], y2)
-    report = injectivity_probe(lin(path1), lin(path2), GOLDEN)
-    assert report.form == "theta[cos[0,1],1,2]"
-    g = TrigPoly.cosine((0, 1))
-    theta = OneForm([-float(GOLDEN.alpha[1]) * g, float(GOLDEN.alpha[0]) * g])
-    gap = evaluate_twisted(path1, theta, GOLDEN) - evaluate_twisted(path2, theta, GOLDEN)
-    assert report.gap == pytest.approx(abs(gap), abs=1e-12)
-
-
-# --- battery kernel against the per-form route ---
+# --- battery kernel against the solver and pointwise h ---
 
 _DIRECTIONS = {
     2: ([1.0, (1.0 + 5.0**0.5) / 2.0], [1.0, 2.0**0.5]),
@@ -283,9 +276,17 @@ def test_kernel_matches_per_form_route(d, cutoff, data):
     p = linearize(path, alpha, battery)
     gen = generator(alpha, battery)
     for i, (fid, form) in enumerate(battery):
-        assert p.raw[i] == pytest.approx(evaluate(path, form), abs=1e-10), fid
-        assert p.table[i] == pytest.approx(evaluate_twisted(path, form, alpha), abs=1e-10), fid
-        assert gen[i] == pytest.approx(solve_for_form(form, alpha).c, abs=1e-10), fid
+        # oracle: solve for h with eta(X) = sum_j alpha_j p_j, then subtract
+        # h(y) - h(x) evaluated pointwise
+        contraction = TrigPoly.constant(d, 0.0)
+        for a, comp in zip(alpha.alpha, form.components):
+            contraction = contraction + float(a) * comp
+        sol = solve_cohomological(contraction, alpha)
+        raw = evaluate(path, form)
+        assert p.raw[i] == pytest.approx(raw, abs=1e-10), fid
+        twisted = raw - (sol.h(path.end) - sol.h(path.start))
+        assert p.table[i] == pytest.approx(twisted, abs=1e-10), fid
+        assert gen[i] == pytest.approx(sol.c, abs=1e-10), fid
 
 
 _RESONANT = [  # (alpha, eps_res, cutoff, first resonant battery mode)

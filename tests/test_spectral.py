@@ -1,5 +1,5 @@
 """Frequency-side calculus: derivative along the flow, small-divisor solver,
-contraction, exterior derivative.
+exterior derivative.
 
 Oracles: central finite differences for the two derivative operators,
 exact rational arithmetic for Liouville divisors, closed-form mode algebra
@@ -13,13 +13,10 @@ from hypothesis import strategies as st
 
 from toruslab.errors import ResonantMode
 from toruslab.spectral import (
-    OneForm,
     TrigPoly,
-    contract_with_flow,
     exterior_derivative,
     lie_derivative,
     solve_cohomological,
-    solve_for_form,
 )
 from toruslab.torus_flow import DirectionVector, TorusPoint, flow, liouville_vector
 
@@ -244,52 +241,3 @@ def test_default_threshold_flags_liouville_tail():
     p, q = lv.convergents[2]
     with pytest.raises(ResonantMode):
         solve_cohomological(TrigPoly.cosine((p, -q)), lv.direction)
-
-
-# ------------------------------------------------------- forms and norms
-
-
-def test_contract_with_flow_examples():
-    assert contract_with_flow(OneForm.dx(2, 0), GOLDEN).allclose(
-        TrigPoly.constant(2, 1.0)
-    )
-    assert contract_with_flow(OneForm.dx(2, 1), GOLDEN).allclose(
-        TrigPoly.constant(2, GOLDEN.alpha[1])
-    )
-    eta = OneForm.modulated("cos", (1, 0), 1)
-    assert contract_with_flow(eta, HALF).allclose(TrigPoly.cosine((1, 0), 0.5))
-
-
-def test_solve_for_form_coordinate_forms():
-    for j in range(2):
-        sol = solve_for_form(OneForm.dx(2, j), GOLDEN)
-        assert sol.h.is_zero
-        assert sol.c == pytest.approx(GOLDEN.alpha[j], abs=0.0)
-
-
-def test_solve_for_form_exact_form_recovers_function():
-    rng = np.random.default_rng(13)
-    f = random_poly(rng, max_norm=3)
-    sol = solve_for_form(exterior_derivative(f), GOLDEN)
-    centered = f - TrigPoly.constant(2, f.mean())
-    assert sol.c == pytest.approx(0.0, abs=1e-12)
-    assert sol.h.allclose(centered, tol=1e-10)
-
-
-def test_solve_for_form_unit_contraction():
-    eta = (1.0 / GOLDEN.alpha[0]) * OneForm.dx(2, 0)
-    sol = solve_for_form(eta, GOLDEN)
-    assert sol.h.is_zero
-    assert sol.c == pytest.approx(1.0, abs=1e-15)
-
-
-def test_constant_contraction_shift():
-    # two forms whose contractions differ by a constant share h; c shifts
-    rng = np.random.default_rng(17)
-    eta1 = OneForm([random_poly(rng, max_norm=2), random_poly(rng, max_norm=2)])
-    shift = 0.75
-    eta2 = eta1 + (shift / GOLDEN.alpha[0]) * OneForm.dx(2, 0)
-    s1 = solve_for_form(eta1, GOLDEN)
-    s2 = solve_for_form(eta2, GOLDEN)
-    assert s1.h.allclose(s2.h, tol=1e-12)
-    assert s2.c - s1.c == pytest.approx(shift, abs=1e-12)

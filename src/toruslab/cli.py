@@ -60,8 +60,8 @@ class ExperimentConfig:
     alpha_path: str | None = None
     function_path: str | None = None
     curve_path: str | None = None
-    radius: int | None = None
-    tau: float | None = None
+    radius: int = 100
+    tau: float = 1.0
     cutoff: int = DEFAULT_CUTOFF
     samples: int = 100
     seed: int = 0
@@ -82,8 +82,10 @@ class ExperimentConfig:
             raise SchemaError("seed must be >= 0")
         if self.fmt not in ("json", "csv"):
             raise SchemaError("format must be json or csv")
+        if self.radius < 1:
+            raise SchemaError("radius must be >= 1")
         # NaN fails every comparison, so these reject it too
-        if self.tau is not None and not 0.0 <= self.tau < math.inf:
+        if not 0.0 <= self.tau < math.inf:
             raise SchemaError("tau must be finite and >= 0")
         if not 0.0 <= self.eps_res < math.inf:
             raise SchemaError("eps-res must be finite and >= 0 (0 detects exact zeros only)")
@@ -103,8 +105,11 @@ def _emit(config: ExperimentConfig, payload=None, header=None, rows=None) -> Non
             payload = {"rows": [dict(zip(header, r)) for r in rows]}
         text = jsonio.json_text(payload)
     if config.out_dir is not None:
-        name = f"{_OUT_NAMES[config.command]}.{config.fmt}"
-        jsonio.write_text_atomic(Path(config.out_dir) / name, text)
+        target = Path(config.out_dir) / f"{_OUT_NAMES[config.command]}.{config.fmt}"
+        try:
+            jsonio.write_text_atomic(target, text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {target}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -127,15 +132,11 @@ def _basepoint(config: ExperimentConfig, d: int) -> np.ndarray:
 
 def _cmd_diophantine(config: ExperimentConfig) -> int:
     alpha = jsonio.load_direction(_need(config, "alpha_path", "--alpha"))
-    radius = config.radius if config.radius is not None else 100
-    tau = config.tau if config.tau is not None else 1.0
-    if radius < 1:
-        raise SchemaError("radius must be >= 1")
-    resonances = find_resonances(alpha, radius, eps_res=config.eps_res)
+    resonances = find_resonances(alpha, config.radius, eps_res=config.eps_res)
     if resonances:
         _emit(config, payload={
             "alpha": jsonio.direction_to_json(alpha),
-            "radius": radius,
+            "radius": config.radius,
             "resonances": [list(n) for n in resonances],
         })
         record = {
@@ -145,7 +146,7 @@ def _cmd_diophantine(config: ExperimentConfig) -> int:
         }
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 1
-    cert = certify_diophantine(alpha, tau, radius, eps_res=config.eps_res)
+    cert = certify_diophantine(alpha, config.tau, config.radius, eps_res=config.eps_res)
     _emit(config, payload={
         "alpha": jsonio.direction_to_json(alpha),
         "tau": fnum(cert.tau),

@@ -64,10 +64,14 @@ def read_json(path) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 # --- directions ---
@@ -78,12 +82,16 @@ def direction_from_json(obj, where: str = "direction") -> DirectionVector:
     comps = _require(obj, "alpha", where)
     if not isinstance(comps, list) or len(comps) != d:
         raise SchemaError(f"{where}: alpha must list exactly d components")
+    decimals = all(isinstance(c, str) for c in comps)
+    values = comps if decimals else [_num(c, where) for c in comps]
     try:
-        if all(isinstance(c, str) for c in comps):
-            return DirectionVector.from_decimals(comps)
-        return DirectionVector([_num(c, where) for c in comps])
+        if decimals:
+            return DirectionVector.from_decimals(values)
+        return DirectionVector(values)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: {exc}") from None
+    except OverflowError:  # an exact decimal beyond the float range
+        raise SchemaError(f"{where}: number out of float range") from None
 
 
 def load_direction(path) -> DirectionVector:
@@ -152,9 +160,14 @@ def curve_from_json(obj, where: str = "curve") -> PiecewiseCurve:
             raise SchemaError(f"{spot}: displacement must list d components")
         flat.extend(_num(v, spot) for v in disp)
     try:
-        return PiecewiseCurve(bp, np.array(flat).reshape(len(kinds), len(bp)), kinds)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            curve = PiecewiseCurve(bp, np.array(flat).reshape(len(kinds), len(bp)), kinds)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
+    finite = np.isfinite(np.vstack([curve.starts, curve.end_lift])).all(axis=1)
+    if not finite.all():  # lift k ends segment k - 1; the basepoint is finite
+        raise SchemaError(f"{where}.segments[{int(np.argmin(finite)) - 1}]: running lift overflows")
+    return curve
 
 
 def family_from_json(obj, where: str = "family") -> CurveFamily:

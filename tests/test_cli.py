@@ -395,6 +395,8 @@ def test_malformed_numeric_flag_exits_two(argv, files, capsys):
 
 
 _SEGMENT = {"kind": "transverse", "displacement": ["0.3", "0.2"]}
+_HUGE = {"kind": "transverse", "displacement": ["1e308", "1e308"]}
+_OVERFLOWING = {"basepoint": ["0", "0"], "segments": [_HUGE, _HUGE]}
 MALFORMED_INPUTS = {  # id -> (command, input flag, file contents)
     "function-d-null": ("solve-cohomology", "--function", {"d": None, "modes": []}),
     "function-d-list": ("solve-cohomology", "--function", {"d": [2], "modes": []}),
@@ -414,6 +416,16 @@ MALFORMED_INPUTS = {  # id -> (command, input flag, file contents)
         "basepoint": ["0.1", "0.1", "0.1"],
         "segments": [{"kind": "transverse", "displacement": ["0.3", "0.2", "0.1"]}],
     }),
+    "alpha-beyond-float-range": ("diophantine-check", "--alpha", {
+        "d": 2, "alpha": ["1e400", "1"],
+    }),
+    "curve-not-utf8": ("excise", "--curve", b'\xff\xfe{"basepoint": ["0", "0"]}'),
+    "curve-nested-too-deep": ("excise", "--curve", b"[" * 100_000 + b"]" * 100_000),
+    "excise-lift-overflow": ("excise", "--curve", _OVERFLOWING),
+    "demo-lift-overflow": ("linearize-demo", "--curve", _OVERFLOWING),
+    # the file is where the output directory should be, or above it
+    "out-is-a-file": ("diophantine-check", "--out", {}),
+    "out-under-a-file": ("diophantine-check", "--out/sub", {}),
 }
 
 
@@ -421,9 +433,13 @@ MALFORMED_INPUTS = {  # id -> (command, input flag, file contents)
 def test_malformed_input_file_exits_two(case, files, capsys, tmp_path):
     command, flag, payload = MALFORMED_INPUTS[case]
     bad = tmp_path / "malformed.json"
-    bad.write_text(json.dumps(payload))
-    argv = [command, flag, str(bad)]
-    if command != "excise":
+    if isinstance(payload, bytes):
+        bad.write_bytes(payload)
+    else:
+        bad.write_text(json.dumps(payload))
+    flag, _, below = flag.partition("/")
+    argv = [command, flag, str(bad / below if below else bad)]
+    if command != "excise" and flag != "--alpha":
         argv += ["--alpha", files["golden.json"]]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""

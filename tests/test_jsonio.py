@@ -59,11 +59,14 @@ def test_direction_round_trip():
         {"d": True, "alpha": ["1"]},
         {"d": 0, "alpha": []},
         {"d": None, "alpha": []},
+        {"d": 2, "alpha": ["1e400", "1"]},
     ],
 )
 def test_direction_schema_errors(obj):
-    with pytest.raises(SchemaError):
-        direction_from_json(obj)
+    with pytest.raises(SchemaError) as err:
+        direction_from_json(obj, where="a.json")
+    # the location is named once, also for a component that is no number
+    assert str(err.value).startswith("a.json") and str(err.value).count("a.json") == 1
 
 
 def test_trig_load_completes_hermitian_partner():

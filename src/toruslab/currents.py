@@ -81,13 +81,9 @@ def _route_terms(path: PiecewiseCurve, modes: np.ndarray, K: np.ndarray):
 
 def _coefficients(eta: OneForm):
     """The modes of eta, in order of first appearance, and its (M, d) coefficients."""
-    modes = list(dict.fromkeys(n for comp in eta.components for n in comp.modes))
-    row = {n: m for m, n in enumerate(modes)}
-    C = np.zeros((len(modes), eta.d), dtype=complex)
-    for j, comp in enumerate(eta.components):
-        for n, c in comp.modes.items():
-            C[row[n], j] = c
-    return modes, C
+    comps = [p.modes for p in eta.components]
+    modes = list(dict.fromkeys(n for comp in comps for n in comp))
+    return modes, np.array([[comp.get(n, 0.0) for comp in comps] for n in modes], dtype=complex)
 
 
 def check_twist_routes(raw, via_boundary, via_form) -> None:

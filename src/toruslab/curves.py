@@ -15,10 +15,17 @@ Matching is exact up to MATCH_TOL = 1e-12; synthetic inputs realize their
 coincidences exactly, near misses are left alone. When a retraced overlap
 covers part of a segment, the segment is split at the overlap boundary
 before any rewrite, so excision always removes whole segments.
+
+Two searches go through one hash grid of quantum _CELL = 2^-30 instead of
+comparing all pairs. The matcher keys every displacement of the family by
+its cell and looks each reversal up near the cell of its negation; the
+point-mass merge keys reduced points the same way, wrapping at 1. Both then
+apply the exact test, so they find what the all-pairs loops found.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +37,11 @@ from .torus_flow import TORUS_TOL, TorusPoint, circle_dist, reduce_mod1
 MATCH_TOL = 1e-12      # retraced arcs must coincide to this, lift and mod 1
 MIN_OVERLAP = 1e-9     # anti-parallel overlaps shorter than this are noise
 _FRACTION_TOL = 1e-9   # split points closer than this to 0/1 are dropped
+# The hash grid of the matcher and of the point-mass merge. A partner within
+# MATCH_TOL = TORUS_TOL is at most 0.001 cell away, so it shares the query's
+# cell or, when the query is near an edge, the cell across that edge.
+_CELL = 2.0 ** -30     # 9.3e-10 wide: a power of two, so scaling by it is exact
+_EDGE = 2.0 ** -6      # probe across an edge nearer than this: 15x that 0.001 cell
 
 _KINDS = ("flow", "transverse")
 # Checked per segment in this order; a curve reports its first bad segment.
@@ -48,7 +60,7 @@ class PiecewiseCurve:
     PiecewiseCurve(x), is the trivial curve at x.
     """
 
-    __slots__ = ("basepoint_lift", "displacements", "flow", "_lifts")
+    __slots__ = ("basepoint_lift", "displacements", "flow", "_lifts", "_lengths")
 
     def __init__(self, basepoint_lift, displacements=(), kinds=()):
         """kinds is a kind name per segment, or the flow mask itself.
@@ -80,6 +92,7 @@ class PiecewiseCurve:
         for arr in (bp, disps, flow, lifts):
             arr.flags.writeable = False  # shared by views such as starts
         self.basepoint_lift, self.displacements, self.flow, self._lifts = bp, disps, flow, lifts
+        self._lengths = None
 
     @classmethod
     def from_steps(cls, basepoint_lift,
@@ -130,9 +143,13 @@ class PiecewiseCurve:
         """Euclidean length of every segment, one np.linalg.norm per row.
 
         The axis=1 form of the norm rounds some rows differently, and the
-        lengths reach split fractions and reported totals.
+        lengths reach split fractions and reported totals. Computed once:
+        excision passes re-read the lengths of every curve they carry over.
         """
-        return np.array([np.linalg.norm(v) for v in self.displacements])
+        if self._lengths is None:
+            self._lengths = np.array([np.linalg.norm(v) for v in self.displacements])
+            self._lengths.flags.writeable = False
+        return self._lengths
 
     @property
     def total_length(self) -> float:
@@ -270,17 +287,21 @@ def _split_family(family: CurveFamily) -> CurveFamily:
     new_curves = []
     first = 0  # family-wide number of the curve's first segment
     for curve in family:
+        seg_cuts = [cuts.get(first + si, ()) for si in range(curve.n_segments)]
+        first += curve.n_segments
+        if not any(seg_cuts):
+            new_curves.append(curve)  # rebuilding it would reproduce it exactly
+            continue
         rows: list[int] = []
         widths: list[float] = []
-        for si in range(curve.n_segments):
+        for si, fractions in enumerate(seg_cuts):
             points = [0.0]
-            for f in sorted(cuts.get(first + si, ())):
+            for f in sorted(fractions):
                 if f - points[-1] > _FRACTION_TOL and 1.0 - f > _FRACTION_TOL:
                     points.append(f)
             points.append(1.0)
             rows += [si] * (len(points) - 1)
             widths += [f1 - f0 for f0, f1 in zip(points, points[1:])]
-        first += curve.n_segments
         new_curves.append(PiecewiseCurve(
             curve.basepoint_lift,
             np.array(widths)[:, None] * curve.displacements[rows],
@@ -289,56 +310,95 @@ def _split_family(family: CurveFamily) -> CurveFamily:
     return CurveFamily(new_curves)
 
 
-def _reverse_match_table(ca: PiecewiseCurve, cb: PiecewiseCurve) -> np.ndarray:
-    """anti[p, q] is True when segment q of cb is the exact reversal of
-    segment p of ca, up to a deck translate."""
-    da, db = ca.displacements, cb.displacements
-    if not len(da) or not len(db):
-        return np.zeros((len(da), len(db)), dtype=bool)
-    disp_gap = np.max(np.abs(da[:, None, :] + db[None, :, :]), axis=-1)
-    starts = reduce_mod1(ca.starts)
-    ends = reduce_mod1(cb.starts + db)
-    delta = np.abs(starts[:, None, :] - ends[None, :, :]) % 1.0
+def _grid(coords: np.ndarray, wrap: bool = False) -> tuple[list[tuple], list[set[tuple]]]:
+    """Each row's cell on the _CELL grid, and the cells that can hold a partner.
+
+    Along each axis a partner shares the row's cell unless the row sits within
+    _EDGE of a cell edge; then the neighbour across that edge is probed too,
+    so a typical row probes one cell, not 3^d. With wrap, rows are coordinates
+    reduced to [0, 1) and the neighbours wrap at 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # |coords| > 1e299: inf keys
+        scaled = coords / _CELL
+        base = np.floor(scaled)
+        frac = scaled - base
+    step = np.where(frac < _EDGE, -1.0, np.where(frac > 1.0 - _EDGE, 1.0, 0.0))
+    own = list(map(tuple, base.tolist()))
+    probes = [{cell} for cell in own]
+    for r in np.flatnonzero(step.any(axis=-1)).tolist():
+        axes = [
+            (b, (b + s) % (1.0 / _CELL) if wrap else b + s) if s else (b,)
+            for b, s in zip(own[r], step[r].tolist())
+        ]
+        probes[r] = set(itertools.product(*axes))
+    return own, probes
+
+
+def _anti_pairs(split: CurveFamily) -> set[tuple[int, int]]:
+    """Family-wide (P, Q) with segment Q the exact reversal of segment P, up
+    to a deck translate, and curve(P) <= curve(Q).
+
+    Segments are numbered across the family, curve after curve. Candidates
+    come from hashing the displacements on the _CELL grid; each is then held
+    to the exact test: displacement gap, position gap mod 1 between P's start
+    and Q's end, and equal labels, the gaps each within MATCH_TOL.
+    """
+    curves = split.curves
+    if not any(c.n_segments for c in curves):
+        return set()
+    owner = [i for i, c in enumerate(curves) for _ in range(c.n_segments)]
+    disps = np.concatenate([c.displacements for c in curves])
+    cells: dict[tuple, list[int]] = {}
+    for p, cell in enumerate(_grid(disps)[0]):
+        cells.setdefault(cell, []).append(p)
+    ps, qs = [], []
+    for q, probe in enumerate(_grid(-disps)[1]):
+        for cell in probe:
+            for p in cells.get(cell, ()):
+                if owner[p] <= owner[q]:
+                    ps.append(p)
+                    qs.append(q)
+    P, Q = np.array(ps, dtype=int), np.array(qs, dtype=int)
+    starts = np.concatenate([c.starts for c in curves])
+    flow = np.concatenate([c.flow for c in curves])
+    disp_gap = np.max(np.abs(disps[P] + disps[Q]), axis=-1)
+    delta = np.abs(reduce_mod1(starts[P]) - reduce_mod1(starts[Q] + disps[Q])) % 1.0
     pos_gap = np.max(np.minimum(delta, 1.0 - delta), axis=-1)
-    kind_ok = ca.flow[:, None] == cb.flow[None, :]
-    return (disp_gap <= MATCH_TOL) & (pos_gap <= MATCH_TOL) & kind_ok
+    ok = (disp_gap <= MATCH_TOL) & (pos_gap <= MATCH_TOL) & (flow[P] == flow[Q])
+    return set(zip(P[ok].tolist(), Q[ok].tolist()))
 
 
 def find_retraced_arc(family: CurveFamily) -> RetracedArcLocation | None:
     """Longest retraced arc in the family, None when there is none.
 
     Segments are first split at every anti-parallel overlap boundary, so the
-    reported arc occupies whole segments of the returned split family. Ties
-    between equally long arcs break towards the lowest (curve index, segment
-    index).
+    reported arc occupies whole segments of the returned split family. An arc
+    is a run P, P+1, ... of one curve reversed by Q, Q-1, ... of a curve at or
+    after it; every matched pair starts a run. Ties between equally long arcs
+    break towards the lowest (curve index, segment index).
     """
     split = _split_family(family)
+    anti = _anti_pairs(split)
+    owner = [i for i, c in enumerate(split) for _ in range(c.n_segments)]
+    first = np.cumsum([0] + [c.n_segments for c in split]).tolist()
     best = None  # (-arc_len, ca, pa, cb, qb, m)
-    for i in range(len(split)):
-        for j in range(i, len(split)):
-            anti = _reverse_match_table(split[i], split[j])
-            if not anti.any():
-                continue
-            lengths = split[i].lengths
-            ma, mb = anti.shape
-            for p in range(ma):
-                for qe in range(mb):
-                    if not anti[p, qe]:
-                        continue
-                    m = 0
-                    while (
-                        p + m < ma
-                        and qe - m >= 0
-                        and anti[p + m, qe - m]
-                        and (i != j or 2 * (m + 1) <= qe - p + 1)
-                    ):
-                        m += 1
-                    if m == 0:
-                        continue
-                    arc_len = float(lengths[p : p + m].sum())
-                    key = (-arc_len, i, p, j, qe - m + 1, m)
-                    if best is None or key < best:
-                        best = key
+    for P, Q in anti:
+        i, j = owner[P], owner[Q]
+        p, qe = P - first[i], Q - first[j]
+        m = 0
+        while (
+            P + m < first[i + 1]
+            and qe - m >= 0
+            and (P + m, Q - m) in anti
+            and (i != j or 2 * (m + 1) <= qe - p + 1)
+        ):
+            m += 1
+        if m == 0:
+            continue
+        arc_len = float(split[i].lengths[p : p + m].sum())
+        key = (-arc_len, i, p, j, qe - m + 1, m)
+        if best is None or key < best:
+            best = key
     if best is None:
         return None
     neg_len, ca, pa, cb, qb, m = best
@@ -423,25 +483,33 @@ class ZeroCurrent:
     """A signed finite point mass on the torus (a current of degree zero).
 
     Atoms are (point, weight) pairs; points may be TorusPoints or coordinate
-    vectors. This is the one merge of signed point masses: each atom joins
-    the first kept atom within TORUS_TOL (mod 1), else starts a new one.
-    Weights of at most 1e-9 are then dropped, so the empty mass is falsy,
-    and the rest are sorted by coordinates.
+    vectors, weights are integers (integral floats are accepted). This is the
+    one merge of signed point masses: each atom joins the first kept atom
+    within TORUS_TOL (mod 1), else starts a new one; candidates come from the
+    _CELL grid, wrapped at 1. The result depends on atom order only for
+    chains of atoms spaced at most TORUS_TOL apart. Zero weights are then
+    dropped, so the empty mass is falsy, and the rest are sorted by
+    coordinates.
     """
 
     __slots__ = ("atoms",)
 
     def __init__(self, atoms=()):
+        atoms = list(atoms)
+        weights = [_multiplicity(w) for _, w in atoms]
+        reds = reduce_mod1([getattr(p, "coords", p) for p, _ in atoms])
         merged: list[list] = []
-        for point, weight in atoms:
-            red = reduce_mod1(getattr(point, "coords", point))
-            for atom in merged:
-                if circle_dist(atom[0], red) <= TORUS_TOL:
-                    atom[1] += weight
+        cells: dict[tuple, list[int]] = {}
+        for red, weight, cell, probe in zip(reds, weights, *_grid(reds, wrap=True)):
+            near = sorted(k for c in probe for k in cells.get(c, ()))
+            for k in near:
+                if circle_dist(merged[k][0], red) <= TORUS_TOL:
+                    merged[k][1] += weight
                     break
             else:
-                merged.append([red, float(weight)])
-        kept = [(TorusPoint(c), w) for c, w in merged if abs(w) > 1e-9]
+                cells.setdefault(cell, []).append(len(merged))
+                merged.append([red, weight])
+        kept = [(TorusPoint(c), w) for c, w in merged if w != 0]
         kept.sort(key=lambda pw: tuple(pw[0].coords.tolist()))
         self.atoms = tuple(kept)
 
@@ -459,6 +527,12 @@ class ZeroCurrent:
         return f"ZeroCurrent({terms or '0'})"
 
 
+def _multiplicity(weight) -> int:
+    if not float(weight).is_integer():
+        raise ValueError(f"point-mass weight must be an integer, got {weight!r}")
+    return int(weight)
+
+
 def boundary_multiset(family: CurveFamily | PiecewiseCurve) -> ZeroCurrent:
     """The boundary: sum over curves of the point mass end - start.
 
@@ -467,7 +541,7 @@ def boundary_multiset(family: CurveFamily | PiecewiseCurve) -> ZeroCurrent:
     """
     curves = family.curves if isinstance(family, CurveFamily) else (family,)
     return ZeroCurrent(
-        [atom for c in curves for atom in ((c.end_lift, 1.0), (c.start_lift, -1.0))]
+        [atom for c in curves for atom in ((c.end_lift, 1), (c.start_lift, -1))]
     )
 
 

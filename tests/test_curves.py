@@ -2,10 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruslab.curves import (
+    MATCH_TOL,
     CurveFamily,
     PiecewiseCurve,
+    ZeroCurrent,
+    _anti_pairs,
+    _split_family,
     boundaries_equal,
     boundary_multiset,
     concatenate,
@@ -14,7 +20,7 @@ from toruslab.curves import (
     simple_excision,
 )
 from toruslab.errors import EndpointMismatch, StaleLocation
-from toruslab.torus_flow import DirectionVector, circle_dist
+from toruslab.torus_flow import TORUS_TOL, DirectionVector, circle_dist, reduce_mod1
 
 GOLDEN = DirectionVector.golden()
 
@@ -373,3 +379,187 @@ def test_kind_mismatch_blocks_match():
         [0.0, 0.0], [("flow", [0.3, 0.2]), ("transverse", [-0.3, -0.2])]
     )
     assert find_retraced_arc(CurveFamily([g])) is None
+
+
+def test_zero_current_weights_are_integers():
+    z = ZeroCurrent([((0.25, 0.5), 2.0), ((0.75, 0.5), -1)])
+    assert [type(w) for _, w in z.atoms] == [int, int]
+    assert repr(z).startswith("ZeroCurrent(+2*d(") and " -1*d(" in repr(z)
+    with pytest.raises(ValueError, match="integer"):
+        ZeroCurrent([((0.25, 0.5), 0.5)])
+    with pytest.raises(ValueError, match="integer"):
+        ZeroCurrent([((0.25, 0.5), float("nan"))])
+
+
+# --- the hashed matcher and the point-mass grid against their dense oracles ---
+
+
+def _reverse_match_table(ca: PiecewiseCurve, cb: PiecewiseCurve) -> np.ndarray:
+    """anti[p, q] is True when segment q of cb is the exact reversal of
+    segment p of ca, up to a deck translate (the dense all-pairs form)."""
+    da, db = ca.displacements, cb.displacements
+    if not len(da) or not len(db):
+        return np.zeros((len(da), len(db)), dtype=bool)
+    disp_gap = np.max(np.abs(da[:, None, :] + db[None, :, :]), axis=-1)
+    starts = reduce_mod1(ca.starts)
+    ends = reduce_mod1(cb.starts + db)
+    delta = np.abs(starts[:, None, :] - ends[None, :, :]) % 1.0
+    pos_gap = np.max(np.minimum(delta, 1.0 - delta), axis=-1)
+    kind_ok = ca.flow[:, None] == cb.flow[None, :]
+    return (disp_gap <= MATCH_TOL) & (pos_gap <= MATCH_TOL) & kind_ok
+
+
+def _dense_anti_pairs(family: CurveFamily) -> set[tuple[int, int]]:
+    first = np.cumsum([0] + [c.n_segments for c in family]).tolist()
+    pairs = set()
+    for i in range(len(family)):
+        for j in range(i, len(family)):
+            for p, q in np.argwhere(_reverse_match_table(family[i], family[j])).tolist():
+                pairs.add((first[i] + p, first[j] + q))
+    return pairs
+
+
+def _dense_best_arc(family: CurveFamily):
+    """The longest-first, lowest-index arc over every matched diagonal."""
+    best = None
+    for i in range(len(family)):
+        for j in range(i, len(family)):
+            anti = _reverse_match_table(family[i], family[j])
+            ma = anti.shape[0]
+            for p, qe in np.argwhere(anti).tolist():
+                m = 0
+                while (p + m < ma and qe - m >= 0 and anti[p + m, qe - m]
+                       and (i != j or 2 * (m + 1) <= qe - p + 1)):
+                    m += 1
+                if m:
+                    arc_len = float(family[i].lengths[p : p + m].sum())
+                    key = (-arc_len, i, p, j, qe - m + 1, m)
+                    best = key if best is None or key < best else best
+    return best
+
+
+# Reversal offsets that straddle MATCH_TOL: inside at 0.5e-12, outside at 2e-12.
+_NUDGES = st.sampled_from([0.0, 0.5e-12, -0.5e-12, 2e-12, -2e-12])
+
+
+@st.composite
+def retrace_families(draw):
+    """A word, its deck-translated reversal nudged around MATCH_TOL, and a
+    same-curve retrace, with mixed flow and transverse labels."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e12]))
+    k = draw(st.integers(1, 3))
+    disps = rng.uniform(-0.5, 0.5, size=(k, d)) * scale
+    flow = rng.random(k) < 0.5
+    word = PiecewiseCurve(rng.uniform(-2.0, 2.0, size=d), disps, flow)
+    back = -disps[::-1].copy()
+    back[draw(st.integers(0, k - 1)), draw(st.integers(0, d - 1))] += draw(_NUDGES)
+    back_flow = flow[::-1].copy()
+    if draw(st.booleans()):
+        back_flow[0] = not back_flow[0]
+    deck = rng.integers(-2, 3, size=d) + draw(_NUDGES)
+    reversal = PiecewiseCurve(word.end_lift + deck, back, back_flow)
+    loop = PiecewiseCurve(word.start_lift, np.vstack([disps, back]),
+                          np.concatenate([flow, back_flow]))
+    curves = [word, reversal, loop]
+    return CurveFamily(curves[i] for i in draw(st.permutations(range(3))))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(retrace_families())
+def test_hashed_matcher_equals_dense_tables(family):
+    assert _anti_pairs(family) == _dense_anti_pairs(family)
+    # splitting tries every deck translate a segment crosses: small steps only
+    if max(np.abs(c.displacements).max() for c in family) < 1e3:
+        loc = find_retraced_arc(family)
+        found = loc and (-loc.arc_length, loc.curve_a, loc.start_a,
+                         loc.curve_b, loc.start_b, loc.length)
+        assert found == _dense_best_arc(_split_family(family))
+
+
+def test_hashed_matcher_finds_reversals_across_cell_edges():
+    # displacements on a 2**-30 cell edge, reversed 0.5e-12 to either side
+    edge = 3 * 2.0**-30
+    for nudge in (0.5e-12, -0.5e-12, 0.9e-12):
+        word = tcurve([0.1, 0.2], [edge, 0.25])
+        back = tcurve(word.end_lift, [-edge + nudge, -0.25])
+        assert _anti_pairs(CurveFamily([word, back])) == {(0, 1)}
+
+
+def _oracle_merge(atoms):
+    """Each atom joins the first kept atom within TORUS_TOL: the all-pairs loop."""
+    merged = []
+    for point, weight in atoms:
+        red = reduce_mod1(point)
+        for atom in merged:
+            if circle_dist(atom[0], red) <= TORUS_TOL:
+                atom[1] += weight
+                break
+        else:
+            merged.append([red, weight])
+    kept = [(tuple(red.tolist()), w) for red, w in merged if w != 0]
+    return sorted(kept)
+
+
+@st.composite
+def near_atoms(draw):
+    """Chains of atoms spaced up to about TORUS_TOL, some straddling 0/1."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.sampled_from([0.0, 1.0, 0.5, 0.3])) + rng.uniform(-3e-12, 3e-12, size=d)
+        step = np.zeros(d)
+        step[rng.integers(0, d)] = draw(st.sampled_from(
+            [0.5e-12, 0.9e-12, TORUS_TOL, 1.0000001e-12, 1.5e-12]))
+        for n in range(draw(st.integers(1, 4))):
+            deck = rng.integers(-1, 2, size=d)
+            atoms.append((x + n * step + deck, int(rng.choice([-1, 1, 2]))))
+    return [atoms[i] for i in draw(st.permutations(range(len(atoms))))]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(near_atoms())
+def test_grid_merge_equals_quadratic_loop(atoms):
+    got = [(tuple(p.coords.tolist()), w) for p, w in ZeroCurrent(atoms).atoms]
+    assert got == _oracle_merge(atoms)
+
+
+def test_grid_merge_joins_pairs_torus_tol_apart_across_a_cell_edge():
+    # x sits on an edge of the 2**-30 grid, y exactly TORUS_TOL below it
+    for x in (0.5, 0.75, 1.0 - 2.0**-20):
+        y = x - TORUS_TOL
+        assert max(circle_dist([x], [y]), circle_dist([y], [x])) <= TORUS_TOL
+        assert not ZeroCurrent([((x,), 1), ((y,), -1)])
+        assert not ZeroCurrent([((y,), 1), ((x,), -1)])
+    # and across 0/1
+    assert not ZeroCurrent([((0.4e-12, 0.5), 1), ((-0.5e-12, 0.5), -1)])
+
+
+def _planted_family(n: int, seed: int):
+    """n open 3-segment curves; every 100th ends in a backtrack, every 100th
+    from the 50th reverses the previous curve's middle segment a deck
+    translate away. Returns the family and the planted arc length."""
+    rng = np.random.default_rng(seed)
+    curves, planted = [], 0.0
+    for k in range(n):
+        bp, steps = rng.uniform(0.0, 1.0, 2), rng.uniform(-0.5, 0.5, (3, 2))
+        if k % 100 == 0:
+            steps[2] = -steps[1]
+            planted += float(np.linalg.norm(steps[1]))
+        elif k % 100 == 50:
+            prev = curves[-1]
+            steps[1] = -prev.displacements[1]
+            bp = prev.starts[2] + rng.integers(-1, 2, 2) - steps[0]
+            planted += float(np.linalg.norm(steps[1]))
+        curves.append(PiecewiseCurve(bp, steps, np.zeros(3, dtype=bool)))
+    return CurveFamily(curves), planted
+
+
+def test_excision_at_scale_removes_exactly_the_planted_arcs():
+    family, planted = _planted_family(400, seed=30)
+    out = maximal_excision(family)
+    assert family.total_length - out.total_length == pytest.approx(2.0 * planted, abs=1e-9)
+    assert find_retraced_arc(out) is None
+    assert boundaries_equal(boundary_multiset(family), boundary_multiset(out))

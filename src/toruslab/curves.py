@@ -19,8 +19,11 @@ before any rewrite, so excision always removes whole segments.
 Two searches go through one hash grid of quantum _CELL = 2^-30 instead of
 comparing all pairs. The matcher keys every displacement of the family by
 its cell and looks each reversal up near the cell of its negation; the
-point-mass merge keys reduced points the same way, wrapping at 1. Both then
-apply the exact test, so they find what the all-pairs loops found.
+point-mass merge keys reduced points the same way, wrapping at 1. Cells are
+centred on multiples of _CELL, so zeros and dyadic coordinates sit mid-cell;
+a row near many cell edges is compared with every row rather than probing
+2^k cells. Both then apply the exact test, so they find what the all-pairs
+loops found.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ MATCH_TOL = 1e-12      # retraced arcs must coincide to this, lift and mod 1
 MIN_OVERLAP = 1e-9     # anti-parallel overlaps shorter than this are noise
 _FRACTION_TOL = 1e-9   # split points closer than this to 0/1 are dropped
 # The hash grid of the matcher and of the point-mass merge. A partner within
-# MATCH_TOL = TORUS_TOL is at most 0.001 cell away, so it shares the query's
+# MATCH_TOL = TORUS_TOL is at most 0.00107 cell away, so it shares the query's
 # cell or, when the query is near an edge, the cell across that edge.
 _CELL = 2.0 ** -30     # 9.3e-10 wide: a power of two, so scaling by it is exact
-_EDGE = 2.0 ** -6      # probe across an edge nearer than this: 15x that 0.001 cell
+_EDGE = 2.0 ** -9      # probe across an edge nearer than this: 1.8x that tolerance
+_MAX_EDGES = 8         # a row near more edges would probe 2^k cells: scan instead
 
 _KINDS = ("flow", "transverse")
 # Checked per segment in this order; a curve reports its first bad segment.
@@ -310,62 +314,76 @@ def _split_family(family: CurveFamily) -> CurveFamily:
     return CurveFamily(new_curves)
 
 
-def _grid(coords: np.ndarray, wrap: bool = False) -> tuple[list[tuple], list[set[tuple]]]:
+def _grid(coords: np.ndarray, wrap: bool = False) -> Iterator[tuple[tuple, Iterable | None]]:
     """Each row's cell on the _CELL grid, and the cells that can hold a partner.
 
-    Along each axis a partner shares the row's cell unless the row sits within
-    _EDGE of a cell edge; then the neighbour across that edge is probed too,
-    so a typical row probes one cell, not 3^d. With wrap, rows are coordinates
-    reduced to [0, 1) and the neighbours wrap at 1.
+    Cells are centred on the multiples of _CELL, so zeros and dyadic
+    coordinates sit mid-cell. Along each axis a partner shares the row's cell
+    unless the row sits within _EDGE of a cell edge; then the neighbour across
+    that edge is probed too, so a typical row probes one cell, not 3^d. A row
+    near an edge on more than _MAX_EDGES axes yields None for its probes: the
+    caller compares it with every row. With wrap, rows are coordinates reduced
+    to [0, 1) and the cells wrap at 1. Rows are yielded one at a time.
     """
+    if not len(coords):
+        return
+    period = 1.0 / _CELL
     with np.errstate(over="ignore", invalid="ignore"):  # |coords| > 1e299: inf keys
-        scaled = coords / _CELL
+        scaled = coords / _CELL + 0.5
         base = np.floor(scaled)
         frac = scaled - base
+    if wrap:
+        base %= period
     step = np.where(frac < _EDGE, -1.0, np.where(frac > 1.0 - _EDGE, 1.0, 0.0))
-    own = list(map(tuple, base.tolist()))
-    probes = [{cell} for cell in own]
-    for r in np.flatnonzero(step.any(axis=-1)).tolist():
-        axes = [
-            (b, (b + s) % (1.0 / _CELL) if wrap else b + s) if s else (b,)
-            for b, s in zip(own[r], step[r].tolist())
-        ]
-        probes[r] = set(itertools.product(*axes))
-    return own, probes
+    edges = np.count_nonzero(step, axis=-1).tolist()
+    for cell, k, row in zip(map(tuple, base.tolist()), edges, step.tolist()):
+        if not k:
+            yield cell, (cell,)
+        elif k > _MAX_EDGES:
+            yield cell, None
+        else:
+            yield cell, itertools.product(*(
+                (b, (b + s) % period if wrap else b + s) if s else (b,)
+                for b, s in zip(cell, row)
+            ))
 
 
-def _anti_pairs(split: CurveFamily) -> set[tuple[int, int]]:
-    """Family-wide (P, Q) with segment Q the exact reversal of segment P, up
-    to a deck translate, and curve(P) <= curve(Q).
+def _anti_pairs(split: CurveFamily) -> set[tuple[int, int, int, int]]:
+    """Every (i, p, j, q) with segment q of curve j the exact reversal of
+    segment p of curve i, up to a deck translate, and i <= j.
 
-    Segments are numbered across the family, curve after curve. Candidates
-    come from hashing the displacements on the _CELL grid; each is then held
-    to the exact test: displacement gap, position gap mod 1 between P's start
-    and Q's end, and equal labels, the gaps each within MATCH_TOL.
+    Candidates come from hashing the family's displacements on the _CELL
+    grid; each is then held to the exact test: displacement gap, position gap
+    mod 1 between p's start and q's end, and equal labels, the gaps each
+    within MATCH_TOL.
     """
     curves = split.curves
     if not any(c.n_segments for c in curves):
         return set()
-    owner = [i for i, c in enumerate(curves) for _ in range(c.n_segments)]
     disps = np.concatenate([c.displacements for c in curves])
     cells: dict[tuple, list[int]] = {}
-    for p, cell in enumerate(_grid(disps)[0]):
+    for p, (cell, _) in enumerate(_grid(disps)):
         cells.setdefault(cell, []).append(p)
     ps, qs = [], []
-    for q, probe in enumerate(_grid(-disps)[1]):
-        for cell in probe:
-            for p in cells.get(cell, ()):
-                if owner[p] <= owner[q]:
-                    ps.append(p)
-                    qs.append(q)
+    for q, (_, probe) in enumerate(_grid(-disps)):
+        if probe is None:  # near too many cell edges: the dense row instead
+            near = np.flatnonzero(np.max(np.abs(disps + disps[q]), axis=-1) <= MATCH_TOL)
+        else:
+            near = [p for c in probe for p in cells.get(c, ())]
+        ps.extend(near)
+        qs.extend([q] * len(near))
     P, Q = np.array(ps, dtype=int), np.array(qs, dtype=int)
+    owner = np.repeat(np.arange(len(curves)), [c.n_segments for c in curves])
+    local = np.concatenate([np.arange(c.n_segments) for c in curves])
     starts = np.concatenate([c.starts for c in curves])
     flow = np.concatenate([c.flow for c in curves])
     disp_gap = np.max(np.abs(disps[P] + disps[Q]), axis=-1)
     delta = np.abs(reduce_mod1(starts[P]) - reduce_mod1(starts[Q] + disps[Q])) % 1.0
     pos_gap = np.max(np.minimum(delta, 1.0 - delta), axis=-1)
     ok = (disp_gap <= MATCH_TOL) & (pos_gap <= MATCH_TOL) & (flow[P] == flow[Q])
-    return set(zip(P[ok].tolist(), Q[ok].tolist()))
+    ok &= owner[P] <= owner[Q]
+    P, Q = P[ok], Q[ok]
+    return set(zip(owner[P].tolist(), local[P].tolist(), owner[Q].tolist(), local[Q].tolist()))
 
 
 def find_retraced_arc(family: CurveFamily) -> RetracedArcLocation | None:
@@ -373,23 +391,19 @@ def find_retraced_arc(family: CurveFamily) -> RetracedArcLocation | None:
 
     Segments are first split at every anti-parallel overlap boundary, so the
     reported arc occupies whole segments of the returned split family. An arc
-    is a run P, P+1, ... of one curve reversed by Q, Q-1, ... of a curve at or
-    after it; every matched pair starts a run. Ties between equally long arcs
-    break towards the lowest (curve index, segment index).
+    is a run p, p+1, ... of curve i reversed by q, q-1, ... of a curve j >= i;
+    every matched pair starts a run. Ties between equally long arcs break
+    towards the lowest (curve index, segment index).
     """
     split = _split_family(family)
     anti = _anti_pairs(split)
-    owner = [i for i, c in enumerate(split) for _ in range(c.n_segments)]
-    first = np.cumsum([0] + [c.n_segments for c in split]).tolist()
     best = None  # (-arc_len, ca, pa, cb, qb, m)
-    for P, Q in anti:
-        i, j = owner[P], owner[Q]
-        p, qe = P - first[i], Q - first[j]
+    for i, p, j, qe in anti:
         m = 0
         while (
-            P + m < first[i + 1]
+            p + m < split[i].n_segments
             and qe - m >= 0
-            and (P + m, Q - m) in anti
+            and (i, p + m, j, qe - m) in anti
             and (i != j or 2 * (m + 1) <= qe - p + 1)
         ):
             m += 1
@@ -500,8 +514,11 @@ class ZeroCurrent:
         reds = reduce_mod1([getattr(p, "coords", p) for p, _ in atoms])
         merged: list[list] = []
         cells: dict[tuple, list[int]] = {}
-        for red, weight, cell, probe in zip(reds, weights, *_grid(reds, wrap=True)):
-            near = sorted(k for c in probe for k in cells.get(c, ()))
+        for red, weight, (cell, probe) in zip(reds, weights, _grid(reds, wrap=True)):
+            if probe is None:  # near too many cell edges: every kept atom
+                near = range(len(merged))
+            else:
+                near = sorted(k for c in probe for k in cells.get(c, ()))
             for k in near:
                 if circle_dist(merged[k][0], red) <= TORUS_TOL:
                     merged[k][1] += weight

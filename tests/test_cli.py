@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toruslab.cli import ExperimentConfig, main
-from toruslab.curves import CurveFamily
+from toruslab.curves import CurveFamily, PiecewiseCurve
 from toruslab.jsonio import SchemaError, family_to_json, json_text
 from toruslab.sampling import random_retrace_family
 
@@ -180,6 +180,23 @@ def test_excise_removes_backtrack(files, capsys):
     segs = payload["family"]["curves"][0]["segments"]
     assert len(segs) == 1
     assert segs[0]["displacement"] == ["0.2", "0.0"]
+
+
+def test_excise_on_zero_and_dyadic_coordinates_in_d24(tmp_path, capsys):
+    # axis-aligned dyadic steps from the origin: 23 of 24 coordinates are 0
+    eye = np.eye(24)
+    steps = eye[:6] * np.array([0.25, 0.5] * 3)[:, None]
+    word = PiecewiseCurve(np.zeros(24), np.vstack([steps, eye[:1] / 8]),
+                          ["transverse"] * 6 + ["flow"])
+    back = PiecewiseCurve(word.starts[6] + 1.0, -steps[::-1], ["transverse"] * 6)
+    path = tmp_path / "axis24.json"
+    path.write_text(json_text(family_to_json(CurveFamily([word, back]))))
+    code, out, err = run(capsys, ["excise", "--curve", str(path)])
+    assert code == 0 and err == ""
+    summary = json.loads(out)["summary"]
+    assert summary["boundary_preserved"] is True
+    assert (summary["curves_before"], summary["curves_after"]) == (2, 1)
+    assert summary["total_length_after"] == "0.125"
 
 
 def test_liouville_sweep_amplification_blows_up(files, capsys):

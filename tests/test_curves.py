@@ -409,13 +409,12 @@ def _reverse_match_table(ca: PiecewiseCurve, cb: PiecewiseCurve) -> np.ndarray:
     return (disp_gap <= MATCH_TOL) & (pos_gap <= MATCH_TOL) & kind_ok
 
 
-def _dense_anti_pairs(family: CurveFamily) -> set[tuple[int, int]]:
-    first = np.cumsum([0] + [c.n_segments for c in family]).tolist()
+def _dense_anti_pairs(family: CurveFamily) -> set[tuple[int, int, int, int]]:
     pairs = set()
     for i in range(len(family)):
         for j in range(i, len(family)):
             for p, q in np.argwhere(_reverse_match_table(family[i], family[j])).tolist():
-                pairs.add((first[i] + p, first[j] + q))
+                pairs.add((i, p, j, q))
     return pairs
 
 
@@ -479,12 +478,13 @@ def test_hashed_matcher_equals_dense_tables(family):
 
 
 def test_hashed_matcher_finds_reversals_across_cell_edges():
-    # displacements on a 2**-30 cell edge, reversed 0.5e-12 to either side
-    edge = 3 * 2.0**-30
+    # displacements on an edge of the 2**-30 cells centred on multiples of
+    # 2**-30, reversed 0.5e-12 to either side
+    edge = 3.5 * 2.0**-30
     for nudge in (0.5e-12, -0.5e-12, 0.9e-12):
         word = tcurve([0.1, 0.2], [edge, 0.25])
         back = tcurve(word.end_lift, [-edge + nudge, -0.25])
-        assert _anti_pairs(CurveFamily([word, back])) == {(0, 1)}
+        assert _anti_pairs(CurveFamily([word, back])) == {(0, 0, 1, 0)}
 
 
 def _oracle_merge(atoms):
@@ -502,6 +502,9 @@ def _oracle_merge(atoms):
     return sorted(kept)
 
 
+_HALF_CELL = 2.0**-31  # cell edges of the merge grid sit at odd multiples of this
+
+
 @st.composite
 def near_atoms(draw):
     """Chains of atoms spaced up to about TORUS_TOL, some straddling 0/1."""
@@ -509,7 +512,8 @@ def near_atoms(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     atoms = []
     for _ in range(draw(st.integers(1, 4))):
-        x = draw(st.sampled_from([0.0, 1.0, 0.5, 0.3])) + rng.uniform(-3e-12, 3e-12, size=d)
+        x = draw(st.sampled_from([0.0, 1.0, 0.5, 0.3, _HALF_CELL, 1.0 - _HALF_CELL]))
+        x = x + rng.uniform(-3e-12, 3e-12, size=d)
         step = np.zeros(d)
         step[rng.integers(0, d)] = draw(st.sampled_from(
             [0.5e-12, 0.9e-12, TORUS_TOL, 1.0000001e-12, 1.5e-12]))
@@ -528,13 +532,73 @@ def test_grid_merge_equals_quadratic_loop(atoms):
 
 def test_grid_merge_joins_pairs_torus_tol_apart_across_a_cell_edge():
     # x sits on an edge of the 2**-30 grid, y exactly TORUS_TOL below it
-    for x in (0.5, 0.75, 1.0 - 2.0**-20):
+    for x in (0.5 + _HALF_CELL, 0.75 - _HALF_CELL, 1.0 - _HALF_CELL):
         y = x - TORUS_TOL
         assert max(circle_dist([x], [y]), circle_dist([y], [x])) <= TORUS_TOL
         assert not ZeroCurrent([((x,), 1), ((y,), -1)])
         assert not ZeroCurrent([((y,), 1), ((x,), -1)])
     # and across 0/1
     assert not ZeroCurrent([((0.4e-12, 0.5), 1), ((-0.5e-12, 0.5), -1)])
+
+
+def _axis_family(d: int) -> CurveFamily:
+    """Dyadic axis-aligned steps from the origin, so every coordinate is zero
+    or dyadic: a word with a flow tail, the reversal of its transverse part a
+    deck translate away, and a loop that backtracks within itself."""
+    steps = np.eye(d)[:6] * np.array([0.25, 0.5] * 3)[:, None]
+    kinds = ["transverse"] * 6
+    word = PiecewiseCurve(np.zeros(d), np.vstack([steps, np.eye(d)[:1] / 8]), kinds + ["flow"])
+    back = PiecewiseCurve(word.starts[6] + 1.0, -steps[::-1], kinds)
+    loop = PiecewiseCurve(np.zeros(d), np.vstack([steps[:3], -steps[2::-1]]), kinds)
+    return CurveFamily([word, back, loop])
+
+
+def _endpoint_atoms(family: CurveFamily) -> list:
+    return [atom for c in family for atom in ((c.end_lift, 1), (c.start_lift, -1))]
+
+
+def test_high_dimension_zero_and_dyadic_coordinates_match_the_oracles():
+    family = _axis_family(24)
+    assert _anti_pairs(family) == _dense_anti_pairs(family)
+    loc = find_retraced_arc(family)
+    assert (-loc.arc_length, loc.curve_a, loc.start_a, loc.curve_b, loc.start_b,
+            loc.length) == _dense_best_arc(_split_family(family))
+    atoms = _endpoint_atoms(family)
+    got = [(tuple(p.coords.tolist()), w) for p, w in ZeroCurrent(atoms).atoms]
+    assert got == _oracle_merge(atoms)
+    out = maximal_excision(family)
+    assert [c.flow.tolist() for c in out] == [[True]]
+    assert boundaries_equal(boundary_multiset(family), boundary_multiset(out))
+
+
+def test_rows_near_many_cell_edges_match_the_oracles():
+    # Coordinates on cell edges (odd multiples of half a cell) on a random
+    # share of 12 axes, so rows probe 1 to 2^8 cells or scan every row; the
+    # reversals and the partner atoms are nudged 0.5e-12 across those edges.
+    rng = np.random.default_rng(30)
+    d = 12
+
+    def on_edges(shape):
+        share = rng.random()
+        return (2 * rng.integers(-40, 40, shape) + (rng.random(shape) < share)) * _HALF_CELL
+
+    def nudges(shape):
+        return rng.choice([-0.5e-12, 0.0, 0.5e-12], shape)
+
+    curves = []
+    for _ in range(12):
+        steps, flow = on_edges((2, d)), rng.random(2) < 0.5
+        word = PiecewiseCurve(on_edges(d), steps, flow)
+        deck = rng.integers(-1, 2, d)
+        curves += [word, PiecewiseCurve(word.end_lift + deck, nudges((2, d)) - steps[::-1],
+                                        flow[::-1])]
+    family = CurveFamily(curves)
+    assert _anti_pairs(family) == _dense_anti_pairs(family)
+    assert len(_anti_pairs(family)) >= 12
+    atoms = _endpoint_atoms(family)
+    atoms += [(p + nudges(d), -w) for p, w in atoms]
+    got = [(tuple(p.coords.tolist()), w) for p, w in ZeroCurrent(atoms).atoms]
+    assert got == _oracle_merge(atoms)
 
 
 def _planted_family(n: int, seed: int):

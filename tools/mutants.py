@@ -29,11 +29,14 @@ MUTANTS = (
      "_CELL = 2.0 ** -30", "_CELL = 2.0 ** -40",
      "tests/test_curves.py::test_hashed_matcher_finds_reversals_across_cell_edges"),
     ("own cell only, no neighbour probes", CURVES,
-     "_EDGE = 2.0 ** -6", "_EDGE = 0.0",
+     "_EDGE = 2.0 ** -9", "_EDGE = 0.0",
      "tests/test_curves.py::test_grid_merge_joins_pairs_torus_tol_apart_across_a_cell_edge"),
     ("probe band narrower than the 0.001-cell tolerance", CURVES,
-     "_EDGE = 2.0 ** -6", "_EDGE = 2.0 ** -12",
+     "_EDGE = 2.0 ** -9", "_EDGE = 2.0 ** -12",
      "tests/test_curves.py::test_hashed_matcher_finds_reversals_across_cell_edges"),
+    ("rows near many cell edges probe their own cell only", CURVES,
+     "yield cell, None", "yield cell, (cell,)",
+     "tests/test_curves.py::test_rows_near_many_cell_edges_match_the_oracles"),
     ("non-integral point-mass weights accepted", CURVES,
      "if not float(weight).is_integer():", "if False:",
      "tests/test_curves.py::test_zero_current_weights_are_integers"),
